@@ -19,9 +19,12 @@ use autoq_circuit::generators::{bernstein_vazirani, grover_all, grover_single, m
 use autoq_circuit::Circuit;
 use autoq_core::presets::{bv_spec, grover_all_pre, mc_toffoli_spec};
 use autoq_core::{Engine, SpecMode, StateSet};
-use autoq_simulator::DenseState;
+use autoq_simulator::{DenseState, SparseState};
 
 use crate::timed;
+
+/// The widest circuit [`DenseState`] simulates.
+const DENSE_MAX_QUBITS: u32 = 26;
 
 /// One row of Table 2.
 #[derive(Clone, Debug)]
@@ -102,12 +105,17 @@ pub fn run_row(
         autoq_core::verify::compare_with_post(&composition_output, post, SpecMode::Equality)
     });
 
-    // Simulator baseline: run every pre-condition state through the dense
-    // simulator (the paper accumulates per-state simulation times).
+    // Simulator baseline: run every pre-condition state through the
+    // simulator (the paper accumulates per-state simulation times) — the
+    // dense one up to its 26-qubit limit, the sparse one past it.
     let (_, simulator) = timed(|| {
         let mut outputs: Vec<BTreeMap<u128, Algebraic>> = Vec::new();
         for &basis in simulate_inputs {
-            outputs.push(DenseState::run(circuit, basis).to_amplitude_map());
+            outputs.push(if circuit.num_qubits() <= DENSE_MAX_QUBITS {
+                DenseState::run(circuit, basis).to_amplitude_map()
+            } else {
+                SparseState::run(circuit, basis).to_amplitude_map().clone()
+            });
         }
         outputs
     });

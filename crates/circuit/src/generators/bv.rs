@@ -50,10 +50,19 @@ pub fn bernstein_vazirani(hidden: &[bool]) -> Circuit {
 
 /// The expected output basis state of [`bernstein_vazirani`] on the all-zero
 /// input: `|s⟩ ⊗ |1⟩` encoded as an MSBF integer.
-pub fn bernstein_vazirani_expected_output(hidden: &[bool]) -> u64 {
-    let mut basis = 0u64;
+///
+/// # Panics
+///
+/// Panics if `hidden` has more than 127 bits: with the work qubit the
+/// state would not fit a `u128` basis index.
+pub fn bernstein_vazirani_expected_output(hidden: &[bool]) -> u128 {
+    assert!(
+        hidden.len() < 128,
+        "BV output wider than a u128 basis index"
+    );
+    let mut basis = 0u128;
     for &bit in hidden {
-        basis = (basis << 1) | u64::from(bit);
+        basis = (basis << 1) | u128::from(bit);
     }
     (basis << 1) | 1
 }
@@ -81,6 +90,28 @@ mod tests {
         );
         assert_eq!(bernstein_vazirani_expected_output(&[false]), 0b01);
         assert_eq!(bernstein_vazirani_expected_output(&[]), 1);
+    }
+
+    #[test]
+    fn expected_output_keeps_every_bit_at_64_and_more_hidden_bits() {
+        // All ones: 2^(n+1) − 1.  At 63 hidden bits the output is exactly
+        // the widest u64; past that the high bits must not be dropped.
+        for n in [63usize, 64, 127] {
+            let all_ones = vec![true; n];
+            assert_eq!(
+                bernstein_vazirani_expected_output(&all_ones),
+                u128::MAX >> (127 - n)
+            );
+        }
+        // The top hidden bit lands at bit n of the output.
+        for n in [63usize, 64, 127] {
+            let mut top_only = vec![false; n];
+            top_only[0] = true;
+            assert_eq!(
+                bernstein_vazirani_expected_output(&top_only),
+                (1u128 << n) | 1
+            );
+        }
     }
 
     #[test]

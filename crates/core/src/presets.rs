@@ -32,7 +32,7 @@ pub fn bv_spec(hidden: &[bool]) -> Spec {
     let n = hidden.len() as u32 + 1;
     Spec {
         pre: StateSet::basis_state(n, 0),
-        post: StateSet::basis_state(n, bernstein_vazirani_expected_output(hidden).into()),
+        post: StateSet::basis_state(n, bernstein_vazirani_expected_output(hidden)),
     }
 }
 
@@ -79,6 +79,26 @@ mod tests {
         assert_eq!(spec.pre.num_qubits(), 4);
         assert_eq!(spec.pre.states(4).len(), 1);
         assert_eq!(spec.post.states(4).len(), 1);
+    }
+
+    /// At 80 hidden bits the output basis index is past the u64 boundary;
+    /// the post-condition must keep its high bits, or the verdict flips to
+    /// violated.  Seconds optimised, minutes unoptimised.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "run with --release")]
+    fn bv_spec_holds_at_80_hidden_bits() {
+        use crate::{verify, Engine, SpecMode};
+        let hidden: Vec<bool> = (0..80).map(|i| i % 3 != 1).collect();
+        let circuit = autoq_circuit::generators::bernstein_vazirani(&hidden);
+        let spec = bv_spec(&hidden);
+        assert!(verify(
+            &Engine::hybrid(),
+            &spec.pre,
+            &circuit,
+            &spec.post,
+            SpecMode::Equality
+        )
+        .holds());
     }
 
     #[test]

@@ -9,15 +9,19 @@
 //!   pieces agrees with the fused/parallel [`evaluate_with`];
 //! * tag structure survives in-ladder reduction: reducing a tagged
 //!   automaton never merges states whose signatures disagree on tags, and
-//!   never invents or drops tags.
+//!   never invents or drops tags;
+//! * on every tagged intermediate automaton of real H/Rx/CNOT formulas
+//!   (each swap of each projection ladder, each subterm), the fast
+//!   `reduce` returns an automaton structurally equal to the naive
+//!   `reduce_reference`.
 
 use std::collections::HashSet;
 
 use autoq_amplitude::Algebraic;
 use autoq_circuit::Gate;
 use autoq_core::composition::{
-    self, binary_op, evaluate_with, multiply, project_reference, project_with, restrict, tag,
-    CompositionOptions,
+    self, backward_swap, binary_op, evaluate_with, forward_swap, multiply, project_reference,
+    project_with, restrict, subtree_copy_in_place, tag, CompositionOptions,
 };
 use autoq_core::formula::{update_formula, UpdateExpr};
 use autoq_core::CompositionOptions as ReexportedOptions;
@@ -74,6 +78,48 @@ fn evaluate_reference(expr: &UpdateExpr, tagged_source: &TreeAutomaton) -> TreeA
     }
 }
 
+/// Asserts that the fast reduction of `automaton` is the very automaton the
+/// naive oracle returns, and passes `automaton` through.
+fn reduced_like_reference(automaton: TreeAutomaton) -> TreeAutomaton {
+    assert_eq!(automaton.reduce(), automaton.reduce_reference());
+    automaton
+}
+
+/// The reference evaluator, checking the reduction on every intermediate
+/// automaton: after each forward and backward swap of each projection
+/// ladder, after the subtree copy, and on every subterm's result.
+fn evaluate_checking_reduction(expr: &UpdateExpr, tagged_source: &TreeAutomaton) -> TreeAutomaton {
+    let result = match expr {
+        UpdateExpr::Source => tagged_source.clone(),
+        UpdateExpr::Proj { qubit, bit } => {
+            let swaps = tagged_source.num_vars - 1 - qubit;
+            let mut current = tagged_source.clone();
+            for _ in 0..swaps {
+                current = reduced_like_reference(forward_swap(&current, *qubit));
+            }
+            subtree_copy_in_place(&mut current, *qubit, *bit);
+            for _ in 0..swaps {
+                current = reduced_like_reference(backward_swap(&current, *qubit));
+            }
+            current
+        }
+        UpdateExpr::Restrict { qubit, bit, inner } => restrict(
+            &evaluate_checking_reduction(inner, tagged_source),
+            *qubit,
+            *bit,
+        ),
+        UpdateExpr::Scale { factor, inner } => {
+            multiply(&evaluate_checking_reduction(inner, tagged_source), *factor)
+        }
+        UpdateExpr::Combine { sign, lhs, rhs } => binary_op(
+            &evaluate_checking_reduction(lhs, tagged_source),
+            &evaluate_checking_reduction(rhs, tagged_source),
+            *sign,
+        ),
+    };
+    reduced_like_reference(result)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     #[test]
@@ -126,6 +172,28 @@ proptest! {
             equivalence(&fused.untagged(), &reference.untagged()).holds(),
             "fused evaluation diverged ({gate:?}, {threads} thread(s))"
         );
+    }
+
+    #[test]
+    fn mid_ladder_reduction_matches_the_reference_exactly(
+        n in 2u32..=4,
+        mask in 0u64..256,
+        seed in any::<u32>(),
+        gate_seed in any::<u32>(),
+    ) {
+        let tagged = random_automaton(n, mask, seed, true);
+        let target = gate_seed % n;
+        let gate = match gate_seed % 3 {
+            0 => Gate::H(target),
+            1 => Gate::RxPi2(target),
+            _ => Gate::Cnot {
+                control: (target + 1) % n,
+                target,
+            },
+        };
+        let formula = update_formula(&gate).expect("H, Rx and CNOT have formulae");
+        let untagged = evaluate_checking_reduction(&formula, &tagged).untagged();
+        prop_assert_eq!(untagged.reduce(), untagged.reduce_reference());
     }
 
     #[test]

@@ -208,15 +208,20 @@ impl VerdictCache {
 
     /// Looks up a verdict, counting a hit or a miss.
     ///
-    /// A stored verdict without a certificate does not satisfy a job that
-    /// wants one: that lookup counts as a miss so the job recomputes (and
-    /// its richer verdict then overwrites the entry).  The reverse serve —
-    /// a certificate-carrying entry answering a job that did not ask — is
-    /// fine; the server strips the bundle from the framed reply.
+    /// A stored *holding* verdict without a certificate does not satisfy a
+    /// job that wants one: that lookup counts as a miss so the job
+    /// recomputes (and its richer verdict then overwrites the entry).  A
+    /// violated verdict never carries a certificate (certificates prove
+    /// positive verdicts only), so it answers certificate requests as is.
+    /// The reverse serve — a certificate-carrying entry answering a job
+    /// that did not ask — is fine; the server strips the bundle from the
+    /// framed reply.
     pub fn lookup(&self, key: &VerdictKey, want_certificate: bool) -> Option<CachedVerdict> {
         let entries = lock(&self.shards[shard_index(key)]);
         match entries.get(key) {
-            Some(verdict) if !want_certificate || verdict.certificate.is_some() => {
+            Some(verdict)
+                if !want_certificate || !verdict.holds || verdict.certificate.is_some() =>
+            {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(verdict.clone())
             }

@@ -112,8 +112,7 @@ fn bernstein_vazirani_preset_matches_direct_verification() {
     let circuit = bernstein_vazirani(&hidden);
     let spec = bv_spec(&hidden);
     let n = circuit.num_qubits();
-    let expected: u128 =
-        autoq_circuit::generators::bernstein_vazirani_expected_output(&hidden).into();
+    let expected = autoq_circuit::generators::bernstein_vazirani_expected_output(&hidden);
 
     // Holds, with Basis wire specs.
     let verdict = check_against_direct(
@@ -279,6 +278,52 @@ fn second_submission_hits_the_cache_with_the_same_verdict() {
         panic!("expected a cached verdict");
     };
     assert_eq!(warm, cold, "cache must return the identical verdict");
+
+    daemon.shutdown();
+    daemon.join();
+}
+
+#[test]
+fn repeated_violated_certificate_jobs_hit_the_cache() {
+    // A violated verdict has no certificate to ship, so a job that wants
+    // one must still be answered from the cache on repeat.
+    let daemon = real_daemon();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let job = JobRequest {
+        qasm: "OPENQASM 2.0;\nqreg q[2];\nx q[0];\ncx q[0], q[1];\n".into(),
+        pre: Spec::Basis {
+            num_qubits: 2,
+            basis: 0,
+        },
+        post: Spec::Basis {
+            num_qubits: 2,
+            basis: 0b01,
+        },
+        mode: SpecMode::Equality,
+        want_witness: true,
+        limits: Default::default(),
+        want_certificate: true,
+    };
+    let JobOutcome::Verdict {
+        verdict: cold,
+        cached: false,
+    } = client.verify(job.clone()).unwrap()
+    else {
+        panic!("expected a cold verdict");
+    };
+    assert!(!cold.holds);
+    assert!(cold.certificate.is_none());
+    let witness = cold.witness.clone().expect("witness requested");
+
+    let JobOutcome::Verdict {
+        verdict: warm,
+        cached: true,
+    } = client.verify(job).unwrap()
+    else {
+        panic!("the repeated violated job must hit the cache");
+    };
+    assert_eq!(warm.witness.as_deref(), Some(witness.as_slice()));
+    assert_eq!(warm, cold);
 
     daemon.shutdown();
     daemon.join();

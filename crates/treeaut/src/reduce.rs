@@ -10,42 +10,26 @@
 //!   merge is iterated to a fixpoint.
 //!
 //! Both run after every gate of the engine's hot loop, so they are built for
-//! speed: trimming is a worklist pass over the adjacency index
-//! (O(states + transitions), no fixpoint-over-all-transitions), and merging
-//! is a partition-refinement loop over *integer* signatures — interned
-//! symbol/leaf-value ids hashed into a `u64` per state — that re-signatures
-//! only the states whose successors changed.  A deliberately naive
-//! implementation is retained as [`TreeAutomaton::reduce_reference`] and
-//! cross-validated against the fast path by property tests.
+//! speed.  Trimming is a worklist pass over the adjacency index
+//! (O(states + transitions), no fixpoint-over-all-transitions).  Merging is
+//! one children-first pass: states are visited in Kahn order over the
+//! child-occurrence index, and each gets its integer signature (interned
+//! symbol ids, child class ids, leaf `AmpId`s) once, looked up in a
+//! signature → class table that persists across the pass.  A class keeps the
+//! id of its first visited member and records its minimum member, onto which
+//! the final rewrite maps every state.  States on or above a cycle follow the
+//! Kahn order in the same worklist; a parent is re-signatured only when a
+//! child's class changes after the parent was signatured, which never
+//! happens on acyclic input.  [`TreeAutomaton::reduce`] is a trim followed by
+//! one merge.  A deliberately naive implementation is retained as
+//! [`TreeAutomaton::reduce_reference`] and cross-validated against the fast
+//! path by property tests, which require structurally equal results.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 use autoq_amplitude::{resolve, Algebraic};
 
 use crate::{InternalSymbol, InternalTransition, LeafTransition, StateId, TreeAutomaton};
-
-/// Finds the current representative of `q`, compressing paths as it goes.
-fn find(repr: &mut [u32], q: u32) -> u32 {
-    let mut q = q;
-    while repr[q as usize] != q {
-        let parent = repr[q as usize];
-        repr[q as usize] = repr[parent as usize];
-        q = repr[q as usize];
-    }
-    q
-}
-
-/// Hashes a state's canonical outgoing-transition signature (sorted interned
-/// integer tuples) into a `u64` group key.  Grouping verifies the exact
-/// tuples before merging, so hash collisions cost time, never soundness.
-fn signature_hash(tuples: &[(u32, u32, u32)], leaf_ids: &[u32]) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    tuples.hash(&mut hasher);
-    leaf_ids.hash(&mut hasher);
-    hasher.finish()
-}
 
 impl TreeAutomaton {
     /// Removes useless states and transitions (non-productive or
@@ -136,42 +120,37 @@ impl TreeAutomaton {
         result
     }
 
-    /// The paper's lightweight reduction: trim, then repeatedly merge states
-    /// that have exactly the same outgoing transitions ("the same
-    /// successors"), which is a sound under-approximation of bottom-up
-    /// bisimulation.
+    /// The paper's lightweight reduction: trim, then merge states that have
+    /// exactly the same outgoing transitions ("the same successors") to the
+    /// fixpoint, which is a sound under-approximation of bottom-up
+    /// bisimulation.  One merge suffices: at its fixpoint no two surviving
+    /// classes share a signature, and the final trim only drops states, never
+    /// an outgoing transition of a surviving one.
     pub fn reduce(&self) -> TreeAutomaton {
-        let mut current = self.trim();
-        loop {
-            let (merged, changed) = current.merge_identical_states();
-            current = merged;
-            if !changed {
-                return current;
-            }
-        }
+        self.trim().merge_identical_states().0
     }
 
-    /// Merges states with identical outgoing-transition signatures, iterated
-    /// to the internal fixpoint in one call.  Returns the merged automaton
+    /// Merges states with identical outgoing-transition signatures, to the
+    /// fixpoint, in one children-first pass.  Returns the merged automaton
     /// and whether anything changed.
     ///
-    /// Partition refinement over integer signatures: symbols and leaf values
-    /// are interned to dense `u32` ids, each state's outgoing transitions
-    /// become a sorted list of `(symbol, left-class, right-class)` integer
-    /// tuples hashed into a `u64` group key, and after each merge round only
-    /// the parents of the merged *classes* (every state whose representative
-    /// changed, tracked via per-class member lists) recompute their tuple
-    /// lists; each round then re-hashes the surviving representatives — an
-    /// O(states) integer pass — to group them.  No strings, no per-state
-    /// rescans of the transition vector.
+    /// A state's signature is its sorted, deduplicated leaf `AmpId`s plus
+    /// its sorted, deduplicated `(symbol-id, left-class, right-class)`
+    /// tuples, built in one reusable buffer and looked up in a
+    /// signature → class table that lives for the whole pass.  States are
+    /// visited in Kahn order over the child-occurrence index, so on acyclic
+    /// input every child's class is final before its parent is signatured
+    /// and each state is signatured exactly once.  States on or above a
+    /// cycle follow in id order; whenever a class changes after a parent
+    /// was signatured, that parent is queued again, until the table is
+    /// consistent.
     fn merge_identical_states(&self) -> (TreeAutomaton, bool) {
         let n = self.num_states as usize;
-        if n == 0 {
-            return (self.clone(), false);
-        }
         let index = self.index();
+        let parent_of = |position: u32| self.internal[position as usize].parent.raw();
 
-        // Intern symbols and leaf values into dense integer ids.
+        // Intern symbols into dense integer ids.  Leaf values arrive already
+        // interned process-wide: the `AmpId` raw integer is the signature id.
         let mut symbol_ids: HashMap<InternalSymbol, u32> = HashMap::new();
         let transition_symbols: Vec<u32> = self
             .internal
@@ -181,122 +160,110 @@ impl TreeAutomaton {
                 *symbol_ids.entry(t.symbol).or_insert(next)
             })
             .collect();
-        // Leaf values arrive already interned process-wide: the `AmpId` raw
-        // integer *is* the dense signature id, so no per-call interning map.
-        let mut leaf_sig: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for t in &self.leaves {
-            leaf_sig[t.parent.index()].push(t.amp.raw());
-        }
-        for sig in &mut leaf_sig {
-            sig.sort_unstable();
-            sig.dedup();
-        }
 
-        let mut repr: Vec<u32> = (0..n as u32).collect();
-        let mut tuples: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); n];
-        // members[r] = states whose representative chain currently ends in
-        // r.  When r itself is merged away, the parents of *every* member
-        // see their canonical tuples change, so all of them must be
-        // re-signatured — tracking only the literally merged state would
-        // miss chained merges (A→B in one round, B→C in a later one).
-        let mut members: Vec<Vec<u32>> = (0..n as u32).map(|q| vec![q]).collect();
-        let mut changed_any = false;
-        // States whose canonical tuples must be (re)computed this round.
-        let mut dirty: Vec<u32> = (0..n as u32).collect();
-        loop {
-            dirty.sort_unstable();
-            dirty.dedup();
-            for &q in &dirty {
-                if repr[q as usize] != q {
-                    continue;
+        // Children-first order (Kahn): a state is ready once every child slot
+        // of its transitions is.  States on or above a cycle never become
+        // ready and follow in id order.
+        let mut pending: Vec<usize> = (0..n as u32)
+            .map(|q| 2 * index.internal_of(StateId::new(q)).len())
+            .collect();
+        let mut work: Vec<u32> = (0..n as u32)
+            .filter(|&q| pending[q as usize] == 0)
+            .collect();
+        let mut next = 0;
+        while next < work.len() {
+            for &position in index.occurrences_as_child(StateId::new(work[next])) {
+                let parent = parent_of(position) as usize;
+                pending[parent] -= 1;
+                if pending[parent] == 0 {
+                    work.push(parent as u32);
                 }
-                let mut canonical: Vec<(u32, u32, u32)> = index
-                    .internal_of(StateId::new(q))
+            }
+            next += 1;
+        }
+        work.extend((0..n as u32).filter(|&q| pending[q as usize] != 0));
+
+        // An unvisited state is a singleton class with its own id; a class
+        // keeps the id of its first visited member, and `min_member` records
+        // its smallest member, the representative of the rewrite.
+        let mut class: Vec<u32> = (0..n as u32).collect();
+        let mut min_member = class.clone();
+        let mut visited = vec![false; n];
+        let mut queued = vec![true; n];
+        let mut table = HashMap::new();
+        let (mut tuples, mut moved): (Vec<(u32, u32, u32)>, _) = (Vec::new(), Vec::new());
+        let mut changed = false;
+        let mut next = 0;
+        while next < work.len() {
+            let q = work[next];
+            next += 1;
+            queued[q as usize] = false;
+            tuples.clear();
+            tuples.extend(index.internal_of(StateId::new(q)).iter().map(|&position| {
+                let t = &self.internal[position as usize];
+                (
+                    transition_symbols[position as usize],
+                    class[t.left.index()],
+                    class[t.right.index()],
+                )
+            }));
+            // Leaf values enter as `(u32::MAX, amp, 0)`: symbol ids count the
+            // distinct symbols, so they never reach `u32::MAX`.
+            tuples.extend(
+                index
+                    .leaves_of(StateId::new(q))
                     .iter()
-                    .map(|&position| {
-                        let t = &self.internal[position as usize];
-                        (
-                            transition_symbols[position as usize],
-                            find(&mut repr, t.left.raw()),
-                            find(&mut repr, t.right.raw()),
-                        )
-                    })
-                    .collect();
-                canonical.sort_unstable();
-                canonical.dedup();
-                tuples[q as usize] = canonical;
-            }
-            // Group the representatives by signature hash.
-            let mut groups: HashMap<u64, Vec<u32>> = HashMap::new();
-            for q in 0..n as u32 {
-                if repr[q as usize] != q {
-                    continue;
+                    .map(|&position| (u32::MAX, self.leaves[position as usize].amp.raw(), 0)),
+            );
+            tuples.sort_unstable();
+            tuples.dedup();
+
+            // Entries are never overwritten.  A class id that moves never
+            // returns, so an entry made stale by a move names a dead id that
+            // no fresh signature contains: every hit is a current signature.
+            let old = class[q as usize];
+            let new = match table.get(&tuples[..]) {
+                Some(&existing) => existing,
+                None => {
+                    table.insert(Box::from(tuples.as_slice()), old);
+                    old
                 }
-                groups
-                    .entry(signature_hash(&tuples[q as usize], &leaf_sig[q as usize]))
-                    .or_default()
-                    .push(q);
+            };
+            let first_visit = !std::mem::replace(&mut visited[q as usize], true);
+            if new == old {
+                continue;
             }
-            let mut merged_this_round = false;
-            let mut newly_dirty: Vec<u32> = Vec::new();
-            for group in groups.values_mut() {
-                if group.len() < 2 {
-                    continue;
-                }
-                // Verify exact signatures within the hash group (collision
-                // safety), merging each run of equal signatures into its
-                // smallest member.
-                group.sort_unstable_by(|&a, &b| {
-                    tuples[a as usize]
-                        .cmp(&tuples[b as usize])
-                        .then_with(|| leaf_sig[a as usize].cmp(&leaf_sig[b as usize]))
-                        .then(a.cmp(&b))
-                });
-                let mut run_start = 0;
-                for i in 1..=group.len() {
-                    let same = i < group.len() && {
-                        let (a, b) = (group[run_start] as usize, group[i] as usize);
-                        tuples[a] == tuples[b] && leaf_sig[a] == leaf_sig[b]
-                    };
-                    if !same {
-                        let winner = group[run_start];
-                        for &other in &group[run_start + 1..i] {
-                            repr[other as usize] = winner;
-                            merged_this_round = true;
-                            // The tuples of every parent of every state in
-                            // `other`'s class change; collect them before
-                            // folding the class into the winner's.
-                            let moved = std::mem::take(&mut members[other as usize]);
-                            for &member in &moved {
-                                for &position in index.occurrences_as_child(StateId::new(member)) {
-                                    newly_dirty.push(self.internal[position as usize].parent.raw());
-                                }
-                            }
-                            members[winner as usize].extend(moved);
-                        }
-                        run_start = i;
+            // The whole class `old` joins `new`: on a first visit that is q
+            // alone; on a revisit (cyclic input only) every member moves, and
+            // every already-signatured parent of a moved state is queued.
+            changed = true;
+            min_member[new as usize] = min_member[new as usize].min(min_member[old as usize]);
+            moved.clear();
+            if first_visit {
+                moved.push(q);
+            } else {
+                moved.extend((0..n as u32).filter(|&s| class[s as usize] == old));
+            }
+            for &s in &moved {
+                class[s as usize] = new;
+                for &position in index.occurrences_as_child(StateId::new(s)) {
+                    let parent = parent_of(position);
+                    if !std::mem::replace(&mut queued[parent as usize], true) {
+                        work.push(parent);
                     }
                 }
             }
-            if !merged_this_round {
-                break;
-            }
-            changed_any = true;
-            dirty.clear();
-            for q in newly_dirty {
-                dirty.push(find(&mut repr, q));
-            }
         }
 
-        if !changed_any {
+        if !changed {
             return (self.clone(), false);
         }
-        // Single rewrite pass under the final partition, then one trim to
-        // drop the absorbed states and renumber densely.
+        // Single rewrite pass onto each class's minimum member, then one
+        // trim to drop the absorbed states and renumber densely.
         let mut result = TreeAutomaton::new(self.num_vars);
         result.num_states = self.num_states;
-        let mut remap = |s: StateId| StateId::new(find(&mut repr, s.raw()));
-        for &root in &self.roots.clone() {
+        let remap = |s: StateId| StateId::new(min_member[class[s.index()] as usize]);
+        for &root in &self.roots {
             result.roots.insert(remap(root));
         }
         for t in &self.internal {
@@ -485,19 +452,17 @@ mod tests {
         ] {
             let fast = automaton.reduce();
             let reference = automaton.reduce_reference();
-            assert_eq!(fast.state_count(), reference.state_count());
-            assert_eq!(fast.transition_count(), reference.transition_count());
-            assert!(crate::equivalence(&fast, &reference).holds());
+            assert_eq!(fast, reference);
+            assert!(crate::equivalence(&fast, &automaton).holds());
         }
     }
 
     #[test]
     fn chained_merges_converge() {
         // A three-deep merge chain: the duplicate leaf merges first, which
-        // makes B/A equal to C one round later, which makes P equal to Q a
-        // round after that.  The dirty-set propagation must follow the
-        // *classes* (B's class contains A by then), not just the literally
-        // merged state, or P never re-signatures.
+        // makes B/A equal to C, which makes P equal to Q.  The children-first
+        // order must signature every state after its children's classes are
+        // final, or P and Q never meet.
         let mut automaton = TreeAutomaton::new(2);
         let d1 = automaton.add_state();
         let d2 = automaton.add_state();
@@ -518,7 +483,7 @@ mod tests {
         let fast = automaton.reduce();
         let reference = automaton.reduce_reference();
         assert_eq!(fast.state_count(), 3, "leaf, middle and root must merge");
-        assert_eq!(fast.state_count(), reference.state_count());
+        assert_eq!(fast, reference);
         assert!(crate::equivalence(&fast, &automaton).holds());
     }
 
