@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use autoq_amplitude::Algebraic;
 use autoq_circuit::generators::{bernstein_vazirani, grover_all, grover_single, mc_toffoli};
-use autoq_circuit::Circuit;
+use autoq_circuit::{Circuit, Gate};
 use autoq_core::presets::{bv_spec, grover_all_pre, mc_toffoli_spec};
 use autoq_core::{Engine, SpecMode, StateSet};
 use autoq_simulator::{DenseState, SparseState};
@@ -25,6 +25,12 @@ use crate::timed;
 
 /// The widest circuit [`DenseState`] simulates.
 const DENSE_MAX_QUBITS: u32 = 26;
+
+/// Whether the gate maps every basis state to one basis state (up to a
+/// phase), so a basis input stays at one nonzero amplitude.
+fn is_permutation_gate(gate: &Gate) -> bool {
+    !matches!(gate, Gate::H(_) | Gate::RxPi2(_) | Gate::RyPi2(_))
+}
 
 /// One row of Table 2.
 #[derive(Clone, Debug)]
@@ -107,14 +113,18 @@ pub fn run_row(
 
     // Simulator baseline: run every pre-condition state through the
     // simulator (the paper accumulates per-state simulation times) — the
-    // dense one up to its 26-qubit limit, the sparse one past it.
+    // sparse one for permutation circuits (a basis input stays one
+    // amplitude wide) and past the dense one's 26-qubit limit, the dense
+    // one otherwise.
+    let sparse =
+        circuit.num_qubits() > DENSE_MAX_QUBITS || circuit.gates().iter().all(is_permutation_gate);
     let (_, simulator) = timed(|| {
         let mut outputs: Vec<BTreeMap<u128, Algebraic>> = Vec::new();
         for &basis in simulate_inputs {
-            outputs.push(if circuit.num_qubits() <= DENSE_MAX_QUBITS {
-                DenseState::run(circuit, basis).to_amplitude_map()
-            } else {
+            outputs.push(if sparse {
                 SparseState::run(circuit, basis).to_amplitude_map().clone()
+            } else {
+                DenseState::run(circuit, basis).to_amplitude_map()
             });
         }
         outputs

@@ -1,8 +1,5 @@
 //! The gate-application engine: Hybrid vs Composition settings.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use autoq_circuit::schedule::interference_schedule;
 use autoq_circuit::{Circuit, Gate};
 use autoq_treeaut::TreeAutomaton;
@@ -11,46 +8,6 @@ use crate::composition::CompositionOptions;
 use crate::formula::update_formula;
 use crate::interrupt::{Interrupt, Interrupted, StopReason};
 use crate::{composition, permutation, StateSet};
-
-/// A shared, clonable cancellation flag checked by the engine **between
-/// gates** (and by [`BugHunter`](crate::BugHunter) between hunt iterations).
-///
-/// The portfolio hunter ([`crate::pool::HuntPool`]) raises the flag as soon
-/// as one worker's witness is simulator-confirmed, so the other workers
-/// abandon their runs at the next gate boundary instead of finishing a
-/// now-pointless analysis.  Cancellation is cooperative and monotone: once
-/// raised, the flag stays raised.
-///
-/// # Examples
-///
-/// ```
-/// use autoq_core::CancelFlag;
-///
-/// let flag = CancelFlag::new();
-/// let observer = flag.clone(); // shares the same flag
-/// assert!(!observer.is_cancelled());
-/// flag.cancel();
-/// assert!(observer.is_cancelled());
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct CancelFlag(Arc<AtomicBool>);
-
-impl CancelFlag {
-    /// A fresh, unraised flag.
-    pub fn new() -> Self {
-        CancelFlag::default()
-    }
-
-    /// Raises the flag.  All clones observe the cancellation.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Returns `true` once any clone has raised the flag.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
-}
 
 /// Which gate encoding the engine prefers (the two settings evaluated in the
 /// paper's Section 7).
@@ -181,10 +138,10 @@ impl Engine {
     /// The `Hybrid` engine with the default reduction policy.
     ///
     /// The default is [`ReductionPolicy::Adaptive`]`{ growth_factor: 2 }`
-    /// (making this identical to [`Engine::adaptive`]): the Table 2
-    /// reduction-policy sweep (the `sweep.*` entries of
-    /// `BENCH_reduction.json`, regenerated by `bench_reduction` as the
-    /// median of interleaved runs) shows `Adaptive { growth_factor: 2 }`
+    /// (reduce after composition gates, and after permutation gates only
+    /// past 2× growth): the Table 2 reduction-policy sweep (the `sweep.*`
+    /// entries of `BENCH_reduction.json`, regenerated by `bench_reduction`
+    /// as the median of interleaved runs) shows `Adaptive { growth_factor: 2 }`
     /// at-or-faster than [`ReductionPolicy::AfterEachGate`] on **every**
     /// row — including the BV family, where an earlier (pre-fused-ladder)
     /// sweep had it ~20% slower at BV16 and kept the eager default.  With
@@ -206,16 +163,6 @@ impl Engine {
         Engine {
             kind: EngineKind::Composition,
             reduction: ReductionPolicy::AfterEachGate,
-            composition: CompositionOptions::default(),
-        }
-    }
-
-    /// The `Hybrid` engine with the adaptive reduction policy (reduce after
-    /// composition gates, and after permutation gates only past 2× growth).
-    pub fn adaptive() -> Self {
-        Engine {
-            kind: EngineKind::Hybrid,
-            reduction: ReductionPolicy::Adaptive { growth_factor: 2 },
             composition: CompositionOptions::default(),
         }
     }
@@ -395,38 +342,6 @@ impl Engine {
             .expect("apply_circuit without an interrupt cannot stop early")
     }
 
-    /// Like [`Engine::apply_circuit_with_stats`], but checks `cancel`
-    /// between gates and returns `None` as soon as it observes the flag
-    /// raised — the cooperative cancellation point used by the portfolio
-    /// hunter's losing workers.  The partially applied automaton is
-    /// discarded; no output set is produced for a cancelled run.
-    pub fn apply_circuit_cancellable(
-        &self,
-        set: &StateSet,
-        circuit: &Circuit,
-        cancel: &CancelFlag,
-    ) -> Option<(StateSet, ApplyStats)> {
-        let interrupt = Interrupt::from_flag(cancel.clone());
-        self.apply_circuit_inner(set, circuit, Some(&interrupt), None)
-            .ok()
-    }
-
-    /// Like [`Engine::apply_circuit_cancellable`], but additionally calls
-    /// `observer(applied, total)` after each applied gate — the progress
-    /// hook the verification daemon uses to stream progress frames while a
-    /// job runs.  The observer must be cheap; it runs on the hot path.
-    pub fn apply_circuit_observed(
-        &self,
-        set: &StateSet,
-        circuit: &Circuit,
-        cancel: &CancelFlag,
-        observer: &mut dyn FnMut(usize, usize),
-    ) -> Option<(StateSet, ApplyStats)> {
-        let interrupt = Interrupt::from_flag(cancel.clone());
-        self.apply_circuit_inner(set, circuit, Some(&interrupt), Some(observer))
-            .ok()
-    }
-
     /// Like [`Engine::apply_circuit_with_stats`], but governed by an
     /// [`Interrupt`]: cancellation, the wall-clock deadline and the
     /// peak-size budgets are all checked between gates (and inside
@@ -442,19 +357,12 @@ impl Engine {
         self.apply_circuit_inner(set, circuit, Some(interrupt), None)
     }
 
-    /// [`Engine::apply_circuit_interruptible`] with the daemon's
-    /// progress-observer hook.
-    pub fn apply_circuit_interruptible_observed(
-        &self,
-        set: &StateSet,
-        circuit: &Circuit,
-        interrupt: &Interrupt,
-        observer: &mut dyn FnMut(usize, usize),
-    ) -> Result<(StateSet, ApplyStats), Interrupted> {
-        self.apply_circuit_inner(set, circuit, Some(interrupt), Some(observer))
-    }
-
-    fn apply_circuit_inner(
+    /// The engine loop behind every `apply_circuit*` form: `interrupt` is
+    /// checked before each gate, and `observer(applied, total)` runs after
+    /// each applied gate — the progress hook the verification daemon uses
+    /// to stream progress frames.  The observer must be cheap; it runs on
+    /// the hot path.
+    pub(crate) fn apply_circuit_inner(
         &self,
         set: &StateSet,
         circuit: &Circuit,
@@ -712,9 +620,11 @@ mod tests {
         .unwrap();
         for basis in [0u128, 0b101] {
             let input = StateSet::basis_state(3, basis);
-            let (eager, eager_stats) = Engine::hybrid().apply_circuit_with_stats(&input, &circuit);
+            let (eager, eager_stats) = Engine::hybrid()
+                .with_reduction(ReductionPolicy::AfterEachGate)
+                .apply_circuit_with_stats(&input, &circuit);
             let (adaptive, adaptive_stats) =
-                Engine::adaptive().apply_circuit_with_stats(&input, &circuit);
+                Engine::hybrid().apply_circuit_with_stats(&input, &circuit);
             assert!(
                 autoq_treeaut::equivalence(eager.automaton(), adaptive.automaton()).holds(),
                 "adaptive output set differs on |{basis:b}⟩"
@@ -731,7 +641,7 @@ mod tests {
         // The stateless apply_gate API has no cross-gate growth baseline, so
         // Adaptive must fall back to reducing after each gate: a long run of
         // controlled grafts (each doubling the automaton) must not compound.
-        let engine = Engine::adaptive();
+        let engine = Engine::hybrid();
         let mut set = Engine::hybrid().apply_gate(&StateSet::basis_state(3, 0), &Gate::H(0));
         for _ in 0..10 {
             set = engine.apply_gate(

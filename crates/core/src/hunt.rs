@@ -14,10 +14,8 @@ use autoq_treeaut::basis::{self, BasisIndex};
 use autoq_treeaut::Tree;
 use rand::Rng;
 
-use crate::verify::check_circuit_equivalence_interruptible;
 use crate::{
-    check_circuit_equivalence_with_stats, ApplyStats, CancelFlag, Engine, Interrupt, Interrupted,
-    StateSet,
+    check_circuit_equivalence_interruptible, ApplyStats, Engine, Interrupt, Interrupted, StateSet,
 };
 
 /// Configuration of the bug hunter.
@@ -160,48 +158,23 @@ impl BugHunter {
     ///
     /// Panics if the circuits have different widths.
     pub fn hunt(&self, original: &Circuit, candidate: &Circuit, rng: &mut impl Rng) -> HuntReport {
-        self.hunt_inner(original, candidate, rng, None)
-            .expect("hunt without an interrupt cannot stop early")
+        self.hunt_interruptible(original, candidate, rng, &Interrupt::new())
+            .expect("a hunt under a fresh unlimited interrupt cannot stop early")
     }
 
-    /// Like [`BugHunter::hunt`], but cooperatively cancellable: the flag is
-    /// checked between gates of every circuit application, and `None` is
-    /// returned as soon as it is observed raised.  This is the entry point
-    /// used by [`crate::HuntPool`] workers so a confirmed witness on one
-    /// thread stops the others mid-hunt.
-    pub fn hunt_cancellable(
-        &self,
-        original: &Circuit,
-        candidate: &Circuit,
-        rng: &mut impl Rng,
-        cancel: &CancelFlag,
-    ) -> Option<HuntReport> {
-        let interrupt = Interrupt::from_flag(cancel.clone());
-        self.hunt_inner(original, candidate, rng, Some(&interrupt))
-            .ok()
-    }
-
-    /// Like [`BugHunter::hunt`], but governed by an [`Interrupt`]: the
-    /// deadline and the peak-size budgets are checked between gates and at
-    /// every iteration boundary.  An interrupted hunt reports its reason
-    /// and the statistics merged across *all* iterations performed, not
-    /// just the interrupted one.
+    /// Like [`BugHunter::hunt`], but governed by an [`Interrupt`]:
+    /// cancellation, the deadline and the peak-size budgets are checked
+    /// between gates and at every iteration boundary.  An interrupted hunt
+    /// reports its reason and the statistics merged across *all*
+    /// iterations performed, not just the interrupted one.  This is the
+    /// entry point [`crate::HuntPool`] workers use, so a confirmed witness
+    /// on one thread stops the others mid-hunt.
     pub fn hunt_interruptible(
         &self,
         original: &Circuit,
         candidate: &Circuit,
         rng: &mut impl Rng,
         interrupt: &Interrupt,
-    ) -> Result<HuntReport, Interrupted> {
-        self.hunt_inner(original, candidate, rng, Some(interrupt))
-    }
-
-    fn hunt_inner(
-        &self,
-        original: &Circuit,
-        candidate: &Circuit,
-        rng: &mut impl Rng,
-        interrupt: Option<&Interrupt>,
     ) -> Result<HuntReport, Interrupted> {
         assert_eq!(
             original.num_qubits(),
@@ -232,19 +205,14 @@ impl BugHunter {
             // Freed qubits range over both values, so their base bits are
             // cleared (`basis_pattern` rejects overlapping fixed bits).
             let inputs = StateSet::basis_pattern(n, base & !free_mask, free);
-            let (result, iteration_stats) = match interrupt {
-                Some(interrupt) => check_circuit_equivalence_interruptible(
-                    &self.engine,
-                    &inputs,
-                    original,
-                    candidate,
-                    interrupt,
-                )
-                .map_err(|interrupted| interrupted.merge_stats(&stats))?,
-                None => {
-                    check_circuit_equivalence_with_stats(&self.engine, &inputs, original, candidate)
-                }
-            };
+            let (result, iteration_stats) = check_circuit_equivalence_interruptible(
+                &self.engine,
+                &inputs,
+                original,
+                candidate,
+                interrupt,
+            )
+            .map_err(|interrupted| interrupted.merge_stats(&stats))?;
             stats = stats.merge(&iteration_stats);
             if let Some(witness) = result.witness() {
                 return Ok(HuntReport {

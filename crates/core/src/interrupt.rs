@@ -3,15 +3,16 @@
 //!
 //! The paper's evaluation is defined by resource exhaustion — the Table 2/3
 //! baselines "timeout" and "OOM" on the superposing rows — so the engine
-//! needs a first-class notion of both.  An [`Interrupt`] generalises the
-//! [`CancelFlag`]: it carries the flag *plus* an optional deadline and
-//! optional peak-size budgets, and is checked at every point the flag is
-//! checked today — between gates, inside composition swap ladders, between
-//! hunt iterations and at portfolio job boundaries.  A run that trips a
-//! limit stops within one gate boundary and reports a typed
+//! needs a first-class notion of both.  An [`Interrupt`] is the engine's
+//! one cancellation and budget handle: a shared cancel flag *plus* an
+//! optional deadline and optional peak-size budgets, checked between
+//! gates, inside composition swap ladders, between hunt iterations and at
+//! portfolio job boundaries.  Every operation has a plain form and one
+//! governed form taking `&Interrupt`; the plain form behaves as the
+//! governed one under [`Interrupt::new`], which never stops a run.  A run
+//! that trips a limit stops within one gate boundary and reports a typed
 //! [`Interrupted`] carrying the [`StopReason`] and the statistics gathered
-//! so far, instead of hanging, exhausting memory or returning a bare
-//! `None`.
+//! so far, instead of hanging or exhausting memory.
 //!
 //! # Check-point invariants
 //!
@@ -42,9 +43,11 @@
 //! }
 //! ```
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::engine::{ApplyStats, CancelFlag};
+use crate::engine::ApplyStats;
 
 /// The resource whose budget a run exhausted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,7 +73,7 @@ impl std::fmt::Display for Resource {
 /// Why a run stopped early.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {
-    /// The [`CancelFlag`] was raised (client disconnect, a portfolio winner,
+    /// The interrupt was cancelled (client disconnect, a portfolio winner,
     /// an explicit cancel request).
     Cancelled,
     /// A resource budget was exhausted.  For [`Resource::WallClock`] the
@@ -127,17 +130,14 @@ impl std::fmt::Display for Interrupted {
     }
 }
 
-/// A cancellation flag generalised with a wall-clock deadline and peak-size
-/// budgets.  Cheap to clone (the flag is shared; the limits are copied) and
-/// cheap to check — a check is one atomic load plus, when a deadline is
-/// set, one monotonic clock read.
-///
-/// An `Interrupt` with no deadline and no budgets behaves exactly like a
-/// bare [`CancelFlag`], which is how the pre-existing `*_cancellable` entry
-/// points are implemented.
+/// A shared cancellation flag with an optional wall-clock deadline and
+/// peak-size budgets.  Cheap to clone (the flag is shared; the limits are
+/// copied) and cheap to check — a check is one atomic load plus, when a
+/// deadline is set, one monotonic clock read.
 #[derive(Clone, Debug, Default)]
 pub struct Interrupt {
-    cancel: CancelFlag,
+    /// Raised once, by any clone; never lowered.
+    cancelled: Arc<AtomicBool>,
     /// `(fires_at, total)` — the total is kept so exhaustion reports can
     /// state the configured limit in milliseconds.
     deadline: Option<(Instant, Duration)>,
@@ -149,14 +149,6 @@ impl Interrupt {
     /// An interrupt with a fresh flag and no limits.
     pub fn new() -> Self {
         Interrupt::default()
-    }
-
-    /// An interrupt sharing an existing cancel flag (no limits).
-    pub fn from_flag(cancel: CancelFlag) -> Self {
-        Interrupt {
-            cancel,
-            ..Interrupt::default()
-        }
     }
 
     /// Returns a copy whose deadline is `budget` from **now**.
@@ -183,27 +175,35 @@ impl Interrupt {
         }
     }
 
-    /// Returns a copy with the same limits but sharing `cancel` instead of
-    /// this interrupt's flag — how [`HuntPool`](crate::HuntPool) gives every
-    /// worker the caller's budgets under the pool's own winner-cancellation
-    /// flag.
-    pub fn with_flag(self, cancel: CancelFlag) -> Self {
-        Interrupt { cancel, ..self }
+    /// A copy with the same limits under a fresh, unraised flag — how
+    /// [`HuntPool`](crate::HuntPool) gives every worker the caller's
+    /// budgets while a confirmed winner cancels only the pool's own runs.
+    pub(crate) fn with_fresh_flag(&self) -> Self {
+        Interrupt {
+            cancelled: Arc::default(),
+            ..self.clone()
+        }
     }
 
-    /// The shared cancellation flag.
-    pub fn flag(&self) -> &CancelFlag {
-        &self.cancel
-    }
-
-    /// Raises the cancellation flag (all clones observe it).
+    /// Raises the cancellation flag.  Cancellation is monotone and shared:
+    /// every clone observes it, and it is never lowered.
+    ///
+    /// ```
+    /// use autoq_core::Interrupt;
+    ///
+    /// let interrupt = Interrupt::new();
+    /// let observer = interrupt.clone(); // shares the same flag
+    /// assert!(!observer.is_cancelled());
+    /// interrupt.cancel();
+    /// assert!(observer.is_cancelled());
+    /// ```
     pub fn cancel(&self) {
-        self.cancel.cancel();
+        self.cancelled.store(true, Ordering::SeqCst);
     }
 
-    /// Whether the cancellation flag is raised.
+    /// Whether any clone has raised the cancellation flag.
     pub fn is_cancelled(&self) -> bool {
-        self.cancel.is_cancelled()
+        self.cancelled.load(Ordering::SeqCst)
     }
 
     /// Whether the deadline (if any) has passed.
@@ -216,7 +216,7 @@ impl Interrupt {
     /// counts; `Err` carries the strongest applicable reason (cancellation
     /// is reported before exhaustion).
     pub fn check_sizes(&self, states: usize, transitions: usize) -> Result<(), StopReason> {
-        if self.cancel.is_cancelled() {
+        if self.is_cancelled() {
             return Err(StopReason::Cancelled);
         }
         if let Some((fires_at, total)) = self.deadline {
@@ -276,9 +276,9 @@ mod tests {
 
     #[test]
     fn shared_flag_is_observed_across_clones() {
-        let flag = CancelFlag::new();
-        let interrupt = Interrupt::from_flag(flag.clone()).with_max_states(10);
-        flag.cancel();
+        let owner = Interrupt::new();
+        let interrupt = owner.clone().with_max_states(10);
+        owner.cancel();
         assert_eq!(interrupt.check_sizes(0, 0), Err(StopReason::Cancelled));
     }
 
@@ -326,21 +326,20 @@ mod tests {
     }
 
     #[test]
-    fn with_flag_keeps_limits_but_swaps_the_flag() {
-        let pool_flag = CancelFlag::new();
-        let interrupt = Interrupt::new()
-            .with_max_states(3)
-            .with_flag(pool_flag.clone());
+    fn fresh_flag_keeps_limits_but_not_the_cancellation() {
+        let exterior = Interrupt::new().with_max_states(3);
+        let pool = exterior.with_fresh_flag();
         assert_eq!(
-            interrupt.check_sizes(4, 0),
+            pool.check_sizes(4, 0),
             Err(StopReason::Exhausted {
                 resource: Resource::States,
                 limit: 3,
                 observed: 4,
             })
         );
-        pool_flag.cancel();
-        assert_eq!(interrupt.check_sizes(4, 0), Err(StopReason::Cancelled));
+        pool.cancel();
+        assert_eq!(pool.check_sizes(4, 0), Err(StopReason::Cancelled));
+        assert!(!exterior.is_cancelled(), "the caller's flag stays down");
     }
 
     #[test]

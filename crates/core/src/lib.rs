@@ -21,8 +21,17 @@
 //!   paper's 35-qubit Table 3 scale.  Hunts compose into a parallel
 //!   portfolio ([`HuntPool`]): worker threads drain a job queue over the
 //!   sharded tree arena, the first simulator-confirmed witness cancels the
-//!   rest ([`CancelFlag`]), and completed campaigns can reclaim their
-//!   arena nodes (see `docs/CONCURRENCY.md`).
+//!   rest, and completed campaigns can reclaim their arena nodes (see
+//!   `docs/CONCURRENCY.md`).
+//! * **Resource governance** — one [`Interrupt`] handle carries
+//!   cancellation, a wall-clock deadline and peak-size budgets.  Every
+//!   operation has a plain form and one governed form taking
+//!   `&Interrupt` ([`Engine::apply_circuit_interruptible`],
+//!   [`verify_interruptible_certified`],
+//!   [`check_circuit_equivalence_interruptible`],
+//!   [`BugHunter::hunt_interruptible`], [`HuntPool::run_with_interrupt`]),
+//!   which stops within one gate boundary of a tripped limit with a typed
+//!   [`Interrupted`].
 //!
 //! *Pipeline position*: bigint → amplitude → {treeaut, circuit} →
 //! simulator → **core** → bench — the user-facing engine tying the automata
@@ -64,16 +73,14 @@ mod state_set;
 pub mod verify;
 
 pub use composition::{default_eval_threads, CompositionOptions};
-pub use engine::{ApplyStats, CancelFlag, Engine, EngineKind, ReductionPolicy};
+pub use engine::{ApplyStats, Engine, EngineKind, ReductionPolicy};
 pub use hunt::{BugHunter, HuntReport};
 pub use interrupt::{Interrupt, Interrupted, Resource, StopReason};
 pub use pool::{HuntJob, HuntPool, PortfolioOutcome, PortfolioWin};
 pub use state_set::StateSet;
 pub use verify::{
-    check_circuit_equivalence, check_circuit_equivalence_cancellable,
-    check_circuit_equivalence_interruptible, check_circuit_equivalence_with_stats,
-    compare_with_post, compare_with_post_certified, verify, verify_cancellable,
-    verify_interruptible, verify_interruptible_certified, verify_interruptible_observed,
-    verify_observed, CertifiedComparison, CertifiedOutcome, CertifiedVerdict, CertifyPolicy,
-    SoundnessViolation, SpecMode, VerificationOutcome, VerifyError,
+    check_circuit_equivalence, check_circuit_equivalence_interruptible,
+    check_circuit_equivalence_with_stats, compare_with_post, compare_with_post_certified, verify,
+    verify_interruptible_certified, CertifiedComparison, CertifiedOutcome, CertifiedVerdict,
+    CertifyPolicy, SoundnessViolation, SpecMode, VerificationOutcome, VerifyError,
 };

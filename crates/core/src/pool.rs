@@ -6,11 +6,13 @@
 //! substrate no longer serialises concurrent interning on a single lock, so
 //! independent hunts can genuinely run in parallel: [`HuntPool`] spawns `W`
 //! workers over a shared job queue, each worker runs
-//! [`BugHunter::hunt_cancellable`] on its claimed job, and as soon as one
+//! [`BugHunter::hunt_interruptible`] on its claimed job, and as soon as one
 //! worker's witness is confirmed by the exact simulator
-//! ([`HuntReport::confirm_with_simulator`]) it raises the shared
-//! [`CancelFlag`] — the other workers observe the flag between gates and
-//! abandon their hunts mid-circuit.
+//! ([`HuntReport::confirm_with_simulator`]) it cancels the pool's shared
+//! [`Interrupt`] — the other workers observe the cancellation between
+//! gates and abandon their hunts mid-circuit.  That interrupt carries the
+//! caller's limits under a flag of its own, so a winner never cancels the
+//! caller's interrupt.
 //!
 //! Workers that find a bug the simulator *cannot* confirm (superposition
 //! witnesses with no basis-state preimage) do not cancel the pool; the
@@ -58,7 +60,7 @@ use autoq_circuit::Circuit;
 use autoq_treeaut::arena;
 use rand::SeedableRng;
 
-use crate::{ApplyStats, BugHunter, CancelFlag, Engine, HuntReport, Interrupt, StopReason};
+use crate::{ApplyStats, BugHunter, Engine, HuntReport, Interrupt, StopReason};
 
 /// One unit of portfolio work: a pair of circuits to distinguish, plus the
 /// RNG seed driving the hunt's input-set schedule (pinned per job so a
@@ -201,11 +203,10 @@ impl HuntPool {
         jobs: &[HuntJob],
         exterior: &Interrupt,
     ) -> (PortfolioOutcome, Option<PortfolioWin>, Option<PortfolioWin>) {
-        let cancel = CancelFlag::new();
         // Workers hunt under the exterior limits but the pool's own flag, so
         // a confirmed winner cancels siblings without touching the caller's
         // flag; the exterior flag itself is polled at claim boundaries.
-        let job_interrupt = exterior.clone().with_flag(cancel.clone());
+        let pool = exterior.with_fresh_flag();
         let next_job = AtomicUsize::new(0);
         // First confirmed witness wins and cancels the pool; unconfirmed
         // reports compete by lowest job index without cancelling.
@@ -217,7 +218,7 @@ impl HuntPool {
         let record_stop = |reason: StopReason| {
             let mut slot = stopped.lock().unwrap_or_else(|p| p.into_inner());
             slot.get_or_insert(reason);
-            cancel.cancel();
+            pool.cancel();
         };
 
         let worker = || -> (usize, usize, ApplyStats) {
@@ -232,7 +233,7 @@ impl HuntPool {
                 if exterior.is_cancelled() {
                     record_stop(StopReason::Cancelled);
                 }
-                if cancel.is_cancelled() {
+                if pool.is_cancelled() {
                     // Count only the job just claimed and keep draining the
                     // queue: each index is claimed exactly once, so the
                     // cancelled tally stays exact even when several workers
@@ -247,7 +248,7 @@ impl HuntPool {
                     &job.original,
                     &job.candidate,
                     &mut rng,
-                    &job_interrupt,
+                    &pool,
                 ) {
                     Ok(report) => report,
                     Err(interrupted) => {
@@ -279,7 +280,7 @@ impl HuntPool {
                     let mut slot = winner.lock().unwrap_or_else(|p| p.into_inner());
                     if slot.is_none() {
                         *slot = Some(win);
-                        cancel.cancel();
+                        pool.cancel();
                     }
                 } else {
                     let mut slot = fallback.lock().unwrap_or_else(|p| p.into_inner());

@@ -319,91 +319,16 @@ pub fn compare_with_post_certified(
     Ok((outcome, Some((record, bytes))))
 }
 
-/// Like [`verify`] but checks `cancel` between gates and returns `None` as
-/// soon as the flag is observed raised — the cooperative-cancellation entry
-/// point used by the verification daemon when a client disconnects or
-/// cancels mid-job.  The post-condition comparison itself is not
-/// interrupted; the circuit application, the dominant cost, is.
-pub fn verify_cancellable(
-    engine: &Engine,
-    pre: &StateSet,
-    circuit: &Circuit,
-    post: &StateSet,
-    mode: SpecMode,
-    cancel: &crate::CancelFlag,
-) -> Option<VerificationOutcome> {
-    let (output, _) = engine.apply_circuit_cancellable(pre, circuit, cancel)?;
-    Some(compare_with_post(&output, post, mode))
-}
-
-/// Like [`verify_cancellable`], but also reports gate-application statistics
-/// and calls `observer(applied, total)` after every applied gate — the
-/// daemon's progress-streaming hook.
-///
-/// `certify` governs verdict certification: with a policy other than
-/// [`CertifyPolicy::Off`], applicable verdicts are only released after
-/// their proof certificate passes the independent checker, and the
-/// [`CertifiedVerdict`] record lands in the returned statistics.  `Ok(None)`
-/// means cancelled; a certification failure is a hard
-/// [`SoundnessViolation`].
-#[allow(clippy::too_many_arguments)]
-pub fn verify_observed(
-    engine: &Engine,
-    pre: &StateSet,
-    circuit: &Circuit,
-    post: &StateSet,
-    mode: SpecMode,
-    certify: CertifyPolicy,
-    cancel: &crate::CancelFlag,
-    observer: &mut dyn FnMut(usize, usize),
-) -> Result<Option<(VerificationOutcome, crate::ApplyStats)>, SoundnessViolation> {
-    let Some((output, mut stats)) = engine.apply_circuit_observed(pre, circuit, cancel, observer)
-    else {
-        return Ok(None);
-    };
-    let (outcome, certified) = compare_with_post_certified(&output, post, mode, certify)?;
-    if let Some((record, _bundle)) = certified {
-        stats.certified = Some(record);
-    }
-    Ok(Some((outcome, stats)))
-}
-
-/// Like [`verify`] but governed by an [`Interrupt`](crate::Interrupt):
-/// cancellation, the wall-clock deadline and the peak-size budgets are
-/// checked between gates, so a verification that would blow up returns a
-/// typed [`Interrupted`](crate::Interrupted) (with the statistics gathered
-/// so far) within one gate boundary of its limit — no hang, no OOM.  The
-/// post-condition comparison itself is not interrupted; the circuit
-/// application, the dominant cost, is.
-pub fn verify_interruptible(
-    engine: &Engine,
-    pre: &StateSet,
-    circuit: &Circuit,
-    post: &StateSet,
-    mode: SpecMode,
-    interrupt: &crate::Interrupt,
-) -> Result<(VerificationOutcome, crate::ApplyStats), crate::Interrupted> {
-    let (output, stats) = engine.apply_circuit_interruptible(pre, circuit, interrupt)?;
-    Ok((compare_with_post(&output, post, mode), stats))
-}
-
-/// [`verify_interruptible`] with the daemon's progress-observer hook.
-pub fn verify_interruptible_observed(
-    engine: &Engine,
-    pre: &StateSet,
-    circuit: &Circuit,
-    post: &StateSet,
-    mode: SpecMode,
-    interrupt: &crate::Interrupt,
-    observer: &mut dyn FnMut(usize, usize),
-) -> Result<(VerificationOutcome, crate::ApplyStats), crate::Interrupted> {
-    let (output, stats) =
-        engine.apply_circuit_interruptible_observed(pre, circuit, interrupt, observer)?;
-    Ok((compare_with_post(&output, post, mode), stats))
-}
-
-/// The most general verification entry point: interruptible, observed, and
-/// certified — the daemon's path when a client sets `want_certificate`.
+/// The governed form of [`verify`]: the one verification entry point that
+/// takes an [`Interrupt`](crate::Interrupt).  Cancellation, the wall-clock
+/// deadline and the peak-size budgets are checked between gates, so a
+/// verification that would blow up returns a typed
+/// [`Interrupted`](crate::Interrupted) (with the statistics gathered so
+/// far) within one gate boundary of its limit; the post-condition
+/// comparison itself is not interrupted.  `observer(applied, total)` runs
+/// after every applied gate (the daemon's progress-streaming hook; pass
+/// `&mut |_, _| {}` to ignore it), and `certify` governs verdict
+/// certification ([`CertifyPolicy::Off`] skips it).
 ///
 /// On success the [`CertifiedOutcome`] carries the serialized `AQIC` bundle
 /// (when the policy produced one) so callers can forward or persist it; the
@@ -421,7 +346,7 @@ pub fn verify_interruptible_certified(
     observer: &mut dyn FnMut(usize, usize),
 ) -> Result<CertifiedOutcome, VerifyError> {
     let (output, mut stats) = engine
-        .apply_circuit_interruptible_observed(pre, circuit, interrupt, observer)
+        .apply_circuit_inner(pre, circuit, Some(interrupt), Some(observer))
         .map_err(VerifyError::Interrupted)?;
     let (outcome, certified) = compare_with_post_certified(&output, post, mode, certify)
         .map_err(VerifyError::Soundness)?;
@@ -478,21 +403,6 @@ pub fn check_circuit_equivalence_with_stats(
         equivalence(out1.automaton(), out2.automaton()),
         stats1.merge(&stats2),
     )
-}
-
-/// Like [`check_circuit_equivalence_with_stats`], but checks the cancel
-/// flag between gates of both runs and returns `None` as soon as it is
-/// observed raised (the equivalence decision itself is not interrupted —
-/// both circuit applications, the dominant cost, are).
-pub fn check_circuit_equivalence_cancellable(
-    engine: &Engine,
-    inputs: &StateSet,
-    c1: &Circuit,
-    c2: &Circuit,
-    cancel: &crate::CancelFlag,
-) -> Option<(EquivalenceResult, crate::ApplyStats)> {
-    let interrupt = crate::Interrupt::from_flag(cancel.clone());
-    check_circuit_equivalence_interruptible(engine, inputs, c1, c2, &interrupt).ok()
 }
 
 /// Like [`check_circuit_equivalence_with_stats`], but governed by an

@@ -10,8 +10,8 @@ use autoq_circuit::generators::{
 use autoq_circuit::mutation::insert_gate;
 use autoq_circuit::Gate;
 use autoq_core::{
-    verify_interruptible, BugHunter, Engine, HuntJob, HuntPool, Interrupt, Resource, SpecMode,
-    StateSet, StopReason,
+    verify_interruptible_certified, BugHunter, CertifyPolicy, Engine, HuntJob, HuntPool, Interrupt,
+    Resource, SpecMode, StateSet, StopReason, VerifyError,
 };
 use rand::SeedableRng;
 
@@ -150,15 +150,20 @@ fn verify_interruptible_reports_partial_stats() {
     let pre = StateSet::basis_state(n, 0);
     let post = StateSet::all_basis_states(n);
     let engine = Engine::hybrid();
-    let err = verify_interruptible(
+    let err = verify_interruptible_certified(
         &engine,
         &pre,
         &circuit,
         &post,
         SpecMode::Inclusion,
+        CertifyPolicy::Off,
         &Interrupt::new().with_max_states(2),
+        &mut |_, _| {},
     )
     .expect_err("a two-state budget must stop the verification");
+    let VerifyError::Interrupted(err) = err else {
+        panic!("expected an interruption, got {err:?}");
+    };
     assert!(matches!(err.reason, StopReason::Exhausted { .. }));
     assert!(err.partial_stats.peak_states >= 2);
 }
@@ -248,4 +253,30 @@ fn portfolio_without_limits_reports_no_stop() {
         outcome.stopped.is_none(),
         "a winner-cancelled portfolio is not an exhausted one"
     );
+}
+
+#[test]
+fn a_confirmed_winner_leaves_the_exterior_interrupt_uncancelled() {
+    let original = mc_toffoli(3);
+    let jobs: Vec<HuntJob> = (0..3)
+        .map(|i| HuntJob {
+            label: format!("mutant-{i}"),
+            original: original.clone(),
+            candidate: insert_gate(&original, Gate::X(4), 1 + i),
+            seed: 0xF1A6 + i as u64,
+        })
+        .collect();
+    let exterior = Interrupt::new().with_deadline(Duration::from_secs(3600));
+    let outcome = HuntPool::new(Engine::hybrid())
+        .with_threads(2)
+        .run_with_interrupt(&jobs, &exterior);
+    let win = outcome.win.expect("an injected X gate is observable");
+    assert!(
+        win.confirmed_input.is_some(),
+        "the winner must be confirmed"
+    );
+    assert!(outcome.stopped.is_none());
+    // The winner cancels the pool's own runs, never the caller's handle:
+    // the caller can reuse it for the next run.
+    assert!(!exterior.is_cancelled());
 }

@@ -23,11 +23,10 @@
 //! ([`DaemonConfig::deadline_ceiling`],
 //! [`DaemonConfig::max_states_ceiling`]): the effective limit is the
 //! minimum of the two, and a ceiling applies even when the job requests
-//! nothing.  An exhausted job answers [`Response::Exhausted`] (or a
-//! [`Response::JobError`] for v1 submissions that could not decode it) and
-//! counts in [`DaemonStats::jobs_exhausted`].  An explicit cancel request,
-//! a client disconnect, or a failed progress write raises the job's cancel
-//! flag, and the engine abandons the job at the next gate boundary.
+//! nothing.  An exhausted job answers [`Response::Exhausted`] and counts in
+//! [`DaemonStats::jobs_exhausted`].  An explicit cancel request, a client
+//! disconnect, or a failed progress write cancels the job's interrupt, and
+//! the engine abandons the job at the next gate boundary.
 //!
 //! Engine runs execute inside `catch_unwind`: a panicking job answers
 //! `JobError`, the worker thread survives, and
@@ -64,7 +63,7 @@ use std::time::{Duration, Instant};
 
 use autoq_circuit::digest::circuit_digest;
 use autoq_circuit::qasm::parse_qasm;
-use autoq_core::{CancelFlag, Interrupt, Resource, StopReason};
+use autoq_core::{Interrupt, Resource, StopReason};
 use autoq_treeaut::format::tree_to_binary;
 
 use crate::cache::{journal_record, spec_digest, CachedVerdict, VerdictCache, VerdictKey};
@@ -164,23 +163,22 @@ struct QueuedJob {
     key: VerdictKey,
     inputs: JobInputs,
     client_job: u64,
-    cancel: CancelFlag,
+    /// The job's cancellation handle, shared with the connection's job
+    /// map; the budgets below are added to a clone when the job runs.
+    interrupt: Interrupt,
     /// Effective (ceiling-clamped) wall-clock budget; the clock starts
     /// when a worker picks the job up, not while it queues.
     deadline: Option<Duration>,
     /// Effective (ceiling-clamped) peak-state budget.
     max_states: Option<u64>,
-    /// Whether the client used the limit-carrying Submit frame and can
-    /// therefore decode a typed [`Response::Exhausted`].
-    limited: bool,
     writer: Arc<ConnWriter>,
-    jobs: Arc<Mutex<HashMap<u64, CancelFlag>>>,
+    jobs: Arc<Mutex<HashMap<u64, Interrupt>>>,
 }
 
-/// A watchdog registry entry: when to hard-cancel, and how.
+/// A watchdog registry entry: when to hard-cancel, and what.
 struct WatchEntry {
     kill_at: Instant,
-    cancel: CancelFlag,
+    interrupt: Interrupt,
 }
 
 /// Journal bookkeeping, under one lock so concurrent workers cannot
@@ -298,7 +296,7 @@ impl Shared {
         {
             let mut queue = lock(&self.queue);
             for job in queue.drain(..) {
-                job.cancel.cancel();
+                job.interrupt.cancel();
             }
         }
         self.queue_signal.notify_all();
@@ -484,7 +482,7 @@ fn watchdog_loop(shared: &Shared) {
         let now = Instant::now();
         for entry in registry.values() {
             if now >= entry.kill_at {
-                entry.cancel.cancel();
+                entry.interrupt.cancel();
             }
         }
         registry = shared
@@ -540,9 +538,9 @@ fn connection_loop(stream: TcpStream, _conn_id: u64, shared: &Shared) {
     let writer = Arc::new(ConnWriter {
         stream: Mutex::new(stream),
     });
-    // Cancel flags of this connection's queued/running jobs; a disconnect
-    // raises them all.
-    let jobs: Arc<Mutex<HashMap<u64, CancelFlag>>> = Arc::new(Mutex::new(HashMap::new()));
+    // Interrupts of this connection's queued/running jobs; a disconnect
+    // cancels them all.
+    let jobs: Arc<Mutex<HashMap<u64, Interrupt>>> = Arc::new(Mutex::new(HashMap::new()));
 
     let fatal = |code: ErrorCode, message: String| {
         let _ = writer.send(&Response::Error { code, message });
@@ -624,8 +622,8 @@ fn connection_loop(stream: TcpStream, _conn_id: u64, shared: &Shared) {
                 }
             }
             Request::Cancel { client_job } => {
-                if let Some(cancel) = lock(&jobs).get(&client_job) {
-                    cancel.cancel();
+                if let Some(interrupt) = lock(&jobs).get(&client_job) {
+                    interrupt.cancel();
                 }
             }
             Request::Stats => {
@@ -651,8 +649,8 @@ fn connection_loop(stream: TcpStream, _conn_id: u64, shared: &Shared) {
 
     // Disconnect (or shutdown): abandon everything this client was waiting
     // for.
-    for (_, cancel) in lock(&jobs).iter() {
-        cancel.cancel();
+    for interrupt in lock(&jobs).values() {
+        interrupt.cancel();
     }
 }
 
@@ -660,7 +658,7 @@ fn connection_loop(stream: TcpStream, _conn_id: u64, shared: &Shared) {
 fn handle_submit(
     shared: &Shared,
     writer: &Arc<ConnWriter>,
-    jobs: &Arc<Mutex<HashMap<u64, CancelFlag>>>,
+    jobs: &Arc<Mutex<HashMap<u64, Interrupt>>>,
     client_job: u64,
     job: crate::proto::JobRequest,
 ) -> bool {
@@ -721,7 +719,7 @@ fn handle_submit(
             })
             .is_ok();
     }
-    let cancel = CancelFlag::new();
+    let interrupt = Interrupt::new();
     {
         let mut queue = lock(&shared.queue);
         if queue.len() >= shared.config.queue_capacity {
@@ -734,7 +732,7 @@ fn handle_submit(
                 })
                 .is_ok();
         }
-        lock(jobs).insert(client_job, cancel.clone());
+        lock(jobs).insert(client_job, interrupt.clone());
         // Ack *before* the job becomes visible to workers (the push below),
         // so the client always sees Accepted before any Progress/Verdict.
         if writer.send(&Response::Accepted { client_job }).is_err() {
@@ -745,10 +743,9 @@ fn handle_submit(
             key,
             inputs,
             client_job,
-            cancel,
+            interrupt,
             deadline,
             max_states,
-            limited: !job.limits.is_unlimited(),
             writer: Arc::clone(writer),
             jobs: Arc::clone(jobs),
         });
@@ -798,10 +795,9 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         key,
         inputs,
         client_job,
-        cancel,
+        interrupt,
         deadline,
         max_states,
-        limited,
         writer,
         jobs,
     } = job;
@@ -811,7 +807,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         let _ = writer.send(response);
     };
 
-    if cancel.is_cancelled() {
+    if interrupt.is_cancelled() {
         finish(&Response::JobError {
             client_job,
             message: "job cancelled".into(),
@@ -820,14 +816,15 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     }
 
     // The budget clock starts here, not at submission: queue wait is the
-    // daemon's fault, not the job's.
+    // daemon's fault, not the job's.  The governed clone shares the job's
+    // flag, so cancel requests, disconnects and the watchdog reach the run.
     let started = Instant::now();
-    let mut interrupt = Interrupt::from_flag(cancel.clone());
+    let mut governed = interrupt.clone();
     if let Some(budget) = deadline {
-        interrupt = interrupt.with_deadline(budget);
+        governed = governed.with_deadline(budget);
     }
     if let Some(budget) = max_states {
-        interrupt = interrupt.with_max_states(budget);
+        governed = governed.with_max_states(budget);
     }
     let watch_token = deadline.map(|budget| {
         let token = shared.next_watch_token.fetch_add(1, Ordering::Relaxed);
@@ -835,7 +832,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
             token,
             WatchEntry {
                 kill_at: started + budget + shared.config.watchdog_grace,
-                cancel: cancel.clone(),
+                interrupt: interrupt.clone(),
             },
         );
         token
@@ -863,7 +860,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
             })
             .is_err()
         {
-            cancel.cancel();
+            interrupt.cancel();
         }
     };
 
@@ -872,7 +869,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
     // because everything the closure can leave half-updated is either
     // job-local (discarded below) or behind poison-recovering locks.
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        shared.engine.verify(&inputs, &interrupt, &mut progress)
+        shared.engine.verify(&inputs, &governed, &mut progress)
     }));
 
     if let Some(token) = watch_token {
@@ -904,7 +901,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
             // A watchdog hard-cancel surfaces as `Cancelled` even though
             // the real cause was the deadline; attribute it correctly.
             let reason = match (interrupted.reason, deadline) {
-                (StopReason::Cancelled, Some(budget)) if interrupt.deadline_elapsed() => {
+                (StopReason::Cancelled, Some(budget)) if governed.deadline_elapsed() => {
                     StopReason::Exhausted {
                         resource: Resource::WallClock,
                         limit: budget.as_millis() as u64,
@@ -924,23 +921,12 @@ fn run_job(shared: &Shared, job: QueuedJob) {
                     observed,
                 } => {
                     shared.jobs_exhausted.fetch_add(1, Ordering::Relaxed);
-                    if limited {
-                        finish(&Response::Exhausted {
-                            client_job,
-                            resource,
-                            limit,
-                            observed,
-                        });
-                    } else {
-                        // The client spoke v1; it cannot decode Exhausted.
-                        finish(&Response::JobError {
-                            client_job,
-                            message: format!(
-                                "job exhausted its {resource} budget \
-                                 (limit {limit}, observed {observed})"
-                            ),
-                        });
-                    }
+                    finish(&Response::Exhausted {
+                        client_job,
+                        resource,
+                        limit,
+                        observed,
+                    });
                 }
             }
         }

@@ -251,8 +251,9 @@ fn a_blowing_up_job_hits_its_state_budget_with_a_typed_outcome() {
 
 #[test]
 fn server_ceilings_govern_v1_jobs_without_breaking_their_protocol() {
-    // A v1 (no-limits) submission cannot decode Response::Exhausted, so a
-    // ceiling-tripped job must come back as a plain JobError.
+    // A job that requests no limits (all a protocol-1 client could send)
+    // still runs under the server's ceilings, and a ceiling trip answers
+    // the same typed Exhausted frame as a job's own budget.
     let config = DaemonConfig {
         max_states_ceiling: Some(2),
         ..DaemonConfig::default()
@@ -264,10 +265,16 @@ fn server_ceilings_govern_v1_jobs_without_breaking_their_protocol() {
         .unwrap();
 
     let blowup = job(5, "h q[0];\nh q[1];\nh q[2];\nh q[3];\nh q[4];\n");
-    assert!(blowup.limits.is_unlimited());
+    assert_eq!(blowup.limits, JobLimits::default());
     match client.verify(blowup).unwrap() {
-        JobOutcome::Failed { message } => {
-            assert!(message.contains("exhausted"), "{message}");
+        JobOutcome::Exhausted {
+            resource,
+            limit,
+            observed,
+        } => {
+            assert_eq!(resource, Resource::States);
+            assert_eq!(limit, 2, "the ceiling is the effective limit");
+            assert!(observed > 2, "observed {observed} must exceed the cap");
         }
         other => panic!("unexpected outcome {other:?}"),
     }

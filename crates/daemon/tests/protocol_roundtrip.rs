@@ -187,7 +187,7 @@ fn every_response_variant_round_trips() {
         Response::ShuttingDown,
         Response::Error {
             code: ErrorCode::VersionMismatch,
-            message: "daemon speaks protocol 1".into(),
+            message: "daemon speaks protocol 2".into(),
         },
     ];
     for response in responses {
@@ -197,66 +197,9 @@ fn every_response_variant_round_trips() {
 }
 
 #[test]
-fn stats_report_from_an_older_daemon_decodes_with_zero_degradation_counters() {
-    // A v1-era StatsReport ends after cache_entries; the degradation
-    // counters were appended later, and the certification counters later
-    // still.  Encoding zeros appends exactly four zero varint bytes, so
-    // stripping reconstructs each generation of the frame.
-    let stats = DaemonStats {
-        jobs_completed: 4,
-        cache_hits: 3,
-        cache_misses: 2,
-        rejected: 1,
-        queue_depth: 5,
-        workers: 2,
-        cache_entries: 6,
-        jobs_exhausted: 0,
-        jobs_panicked: 0,
-        verdicts_certified: 0,
-        certificates_rejected: 0,
-    };
-    let full = Response::StatsReport(stats.clone()).encode();
-    // Mid-era frame: degradation counters present, certification absent.
-    let mid = &full[..full.len() - 2];
-    // V1-era frame: neither pair present.
-    let old = &full[..full.len() - 4];
-    for frame in [mid, old] {
-        match Response::decode(frame).unwrap() {
-            Response::StatsReport(decoded) => assert_eq!(decoded, stats),
-            other => panic!("unexpected response {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn unlimited_jobs_encode_as_v1_submit_frames() {
-    // Byte-for-byte v1 compatibility: a job with no limits must produce
-    // the exact same frame as before limits existed (opcode 0x02, no
-    // limits block), so old servers keep accepting new clients.
-    let submit = Request::Submit {
-        client_job: 3,
-        job: sample_job(),
-    };
-    let frame = submit.encode();
-    assert_eq!(frame[0], 0x02, "unlimited Submit must keep the v1 opcode");
-    // And a limit-carrying job must NOT use the v1 opcode.
-    let limited = Request::Submit {
-        client_job: 3,
-        job: JobRequest {
-            limits: JobLimits {
-                deadline_ms: Some(10),
-                max_states: None,
-            },
-            ..sample_job()
-        },
-    };
-    assert_eq!(limited.encode()[0], 0x07, "limits ride the v2 opcode");
-}
-
-#[test]
 fn certificate_requests_ride_the_v2_submit_frame() {
-    // An unlimited job that wants a certificate cannot use the v1 opcode
-    // (there is nowhere to put the flag), and it round-trips.
+    // Every Submit carries the limits block and the certificate byte; a
+    // certificate request round-trips on the one Submit opcode.
     let submit = Request::Submit {
         client_job: 5,
         job: JobRequest {
@@ -265,42 +208,51 @@ fn certificate_requests_ride_the_v2_submit_frame() {
         },
     };
     let frame = submit.encode();
-    assert_eq!(frame[0], 0x07, "certificate requests ride the v2 opcode");
+    assert_eq!(frame[0], 0x02, "every Submit uses opcode 0x02");
+    assert_eq!(*frame.last().unwrap(), 1, "trailing byte is the cert flag");
     assert_eq!(Request::decode(&frame).unwrap(), submit);
 
-    // The certificate-flags byte trails the limits block; a v2 frame from
-    // an older peer simply ends after the limits, which decodes as "no
-    // certificate".  Our encoder always writes the byte, so stripping the
-    // trailing zero from a no-certificate v2 frame reconstructs the old
-    // encoding.
-    let old_style = Request::Submit {
-        client_job: 5,
-        job: JobRequest {
-            limits: JobLimits {
-                deadline_ms: Some(10),
-                max_states: None,
-            },
-            ..sample_job()
-        },
-    };
-    let full = old_style.encode();
-    assert_eq!(*full.last().unwrap(), 0, "trailing byte is the cert flag");
-    let stripped = &full[..full.len() - 1];
-    assert_eq!(Request::decode(stripped).unwrap(), old_style);
-
     // Unknown bits in the certificate-flags byte are rejected.
-    let mut bad = full;
+    let mut bad = frame;
     *bad.last_mut().unwrap() = 2;
     assert!(Request::decode(&bad).is_err());
 }
 
 #[test]
 fn truncated_payloads_error_at_every_cut() {
+    // No frame has optional trailing fields: every cut of every payload,
+    // down to the last byte, fails to decode.
     let payloads = [
         Request::Submit {
             client_job: 3,
             job: sample_job(),
         }
+        .encode(),
+        Request::Submit {
+            client_job: 4,
+            job: JobRequest {
+                limits: JobLimits {
+                    deadline_ms: Some(250),
+                    max_states: Some(1 << 40),
+                },
+                want_certificate: true,
+                ..sample_job()
+            },
+        }
+        .encode(),
+        Response::StatsReport(DaemonStats {
+            jobs_completed: 10,
+            cache_hits: 20,
+            cache_misses: 30,
+            rejected: 1,
+            queue_depth: 2,
+            workers: 4,
+            cache_entries: 9,
+            jobs_exhausted: 5,
+            jobs_panicked: 2,
+            verdicts_certified: 7,
+            certificates_rejected: 1,
+        })
         .encode(),
         Response::Verdict {
             client_job: 3,
