@@ -138,6 +138,7 @@ fn parse_statement(
             .ok_or_else(|| err("malformed qreg declaration".into()))?;
         let close = rest
             .find(']')
+            .filter(|&close| close > open)
             .ok_or_else(|| err("malformed qreg declaration".into()))?;
         let name = rest[..open].trim().to_string();
         let size: u32 = rest[open + 1..close]
@@ -162,6 +163,7 @@ fn parse_statement(
         Some(pos) => {
             let close = head
                 .rfind(')')
+                .filter(|&close| close > pos)
                 .ok_or_else(|| err("unbalanced parameter list".into()))?;
             (
                 head[..pos].to_string(),
@@ -171,6 +173,15 @@ fn parse_statement(
         None => (head.clone(), None),
     };
     let qubits = parse_qubit_list(args, register_name, line)?;
+    // Checked here so the error names the statement's line; a gate before
+    // the `qreg` declaration is left to `Circuit::from_gates`.
+    if let (Some(width), Some(&qubit)) = (*num_qubits, qubits.iter().max()) {
+        if qubit >= width {
+            return Err(err(format!(
+                "qubit {qubit} out of range for a {width}-qubit register"
+            )));
+        }
+    }
     let one = |index: usize| -> Result<u32, QasmError> {
         qubits.get(index).copied().ok_or_else(|| QasmError {
             line,
@@ -294,10 +305,13 @@ fn parse_qubit_list(args: &str, register: &str, line: usize) -> Result<Vec<u32>,
             line,
             message: format!("expected indexed qubit, got {part:?}"),
         })?;
-        let close = part.find(']').ok_or_else(|| QasmError {
-            line,
-            message: format!("expected indexed qubit, got {part:?}"),
-        })?;
+        let close = part
+            .find(']')
+            .filter(|&close| close > open)
+            .ok_or_else(|| QasmError {
+                line,
+                message: format!("expected indexed qubit, got {part:?}"),
+            })?;
         let name = part[..open].trim();
         if name != register {
             return Err(QasmError {

@@ -23,11 +23,16 @@
 //! * the working automaton is kept *bucketed by variable layer*
 //!   (`LadderState`): a swap pass rewrites exactly two layers — the moving
 //!   qubit layer and the one it swaps past — so each pass costs O(active
-//!   layers) instead of O(automaton), with matching pairs found by hash
-//!   join on `(parent, symbol)` rather than a quadratic child scan, and no
-//!   per-pass [`TreeAutomaton::dedup_transitions`] (internal transitions
-//!   are deduped with an integer-key set as they are emitted; leaves are
-//!   never touched, skipping the bigint-cloning leaf dedup entirely);
+//!   layers) instead of O(automaton), and no per-pass
+//!   [`TreeAutomaton::dedup_transitions`] (internal transitions are deduped
+//!   with a set as they are emitted; leaves are never touched, skipping the
+//!   bigint-cloning leaf dedup entirely);
+//! * matching pairs are found through *dense per-parent runs*
+//!   (`ParentRuns`) rather than a quadratic child scan: a counting sort over
+//!   the state-id space groups the child layer by parent in layer order,
+//!   and a backward pass finds a left child's partners by binary search in
+//!   the right parent's run, stably sorted by symbol; the run buffers live
+//!   in the `Ladder` and every pass reuses them;
 //! * `(symbol, left, right)` singleton states are interned per pass (a
 //!   whole-ladder interner was implemented and proven inert: each pass's
 //!   probe keys are disjoint from every entry an earlier pass could have
@@ -40,19 +45,25 @@
 //!   `ladder_growth_factor ×` the size at the last reduction — the safety
 //!   valve bounding intermediate blowup.
 //!
+//! Every map on this path — the pass interner, the layer dedup set, the
+//! [`binary_op`] pair table and the forward-ladder cache — is keyed only by
+//! program-generated ids (states, tagged symbols, qubit indices), so it
+//! hashes with [`autoq_treeaut::IdHasher`] rather than SipHash.
+//!
 //! Independent terms of a `Combine` formula are evaluated on scoped threads
 //! ([`CompositionOptions::eval_threads`]); the unfused single-threaded
 //! ladder is retained as [`project_reference`] and cross-validated by the
 //! `composition_equivalence` property tests.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use autoq_amplitude::intern;
 use autoq_treeaut::{
-    InternalSymbol, InternalTransition, LeafTransition, StateId, Tag, TreeAutomaton,
+    IdHashMap, IdHashSet, InternalSymbol, InternalTransition, LeafTransition, StateId, Tag,
+    TreeAutomaton,
 };
 
 use crate::formula::{CombineSign, ScaleFactor, UpdateExpr};
@@ -119,7 +130,7 @@ struct EvalCtx<'a> {
     /// `T_{x_t}` and `T_{x̄_t}` of the same formula run the same forward
     /// ladder and differ only in the subtree copy and the way back, so the
     /// forward-laddered automaton is computed once per qubit and shared.
-    forward_cache: &'a Mutex<HashMap<u32, Arc<LadderState>>>,
+    forward_cache: &'a Mutex<IdHashMap<u32, Arc<LadderState>>>,
     /// The caller's interrupt, checked between swap-ladder passes so even a
     /// single blowing-up gate stops near its budget (`None` for the
     /// non-interruptible entry points).
@@ -177,7 +188,7 @@ struct EvalScope<'i> {
     spare_threads: AtomicUsize,
     peak_states: AtomicUsize,
     peak_transitions: AtomicUsize,
-    forward_cache: Mutex<HashMap<u32, Arc<LadderState>>>,
+    forward_cache: Mutex<IdHashMap<u32, Arc<LadderState>>>,
     interrupt: Option<&'i Interrupt>,
     stopped: AtomicBool,
     stop_reason: Mutex<Option<StopReason>>,
@@ -193,7 +204,7 @@ impl<'i> EvalScope<'i> {
             spare_threads: AtomicUsize::new(opts.eval_threads.saturating_sub(1)),
             peak_states: AtomicUsize::new(0),
             peak_transitions: AtomicUsize::new(0),
-            forward_cache: Mutex::new(HashMap::new()),
+            forward_cache: Mutex::new(IdHashMap::default()),
             interrupt,
             stopped: AtomicBool::new(false),
             stop_reason: Mutex::new(None),
@@ -727,7 +738,8 @@ pub fn subtree_copy_in_place(automaton: &mut TreeAutomaton, qubit: u32, bit: boo
 /// allocating a fresh state (and queueing its defining transition) on a
 /// miss.
 ///
-/// One interner lives exactly as long as one swap pass.  A whole-ladder
+/// Entries live exactly as long as one swap pass: the `Ladder` clears
+/// the map before every pass and keeps only its allocation.  A whole-ladder
 /// interner was implemented and proven inert for this pass structure:
 /// every forward-pass probe uses the moving qubit's variable, and each
 /// surviving entry with that variable is the parent of a qubit-layer
@@ -737,7 +749,7 @@ pub fn subtree_copy_in_place(automaton: &mut TreeAutomaton, qubit: u32, bit: boo
 /// earlier pass's insertions.  Per-pass interning is therefore
 /// behaviourally identical and carries no invalidation machinery.
 fn intern_pass_state(
-    interned: &mut HashMap<(InternalSymbol, StateId, StateId), StateId>,
+    interned: &mut PassInterner,
     next_state: &mut u32,
     symbol: InternalSymbol,
     left: StateId,
@@ -823,13 +835,115 @@ impl LadderState {
     }
 }
 
-/// One projection's fused swap ladder: the in-ladder reduction policy and
-/// its growth baseline.
+/// One swap pass's `(symbol, left, right)` → state interner.
+type PassInterner = IdHashMap<(InternalSymbol, StateId, StateId), StateId>;
+
+/// A layer's transitions grouped into one run per parent state by a
+/// counting sort over the state-id space (the idiom of the CSR tables in
+/// `TransitionIndex`).  Only the entries of parents present in the layer
+/// are written and later reset, so building costs O(layer) rather than
+/// O(states), and the buffers carry over from pass to pass.
+#[derive(Default)]
+struct ParentRuns {
+    /// Start of each parent's run in `order`; meaningful where `len > 0`.
+    start: Vec<u32>,
+    /// Run length per parent state (zero: no transition in the layer).
+    len: Vec<u32>,
+    /// Layer positions grouped by parent, in layer order within a run.
+    order: Vec<u32>,
+    /// The same runs, each stably sorted by symbol.
+    by_symbol: Vec<u32>,
+    /// Parents with a non-empty run.
+    parents: Vec<u32>,
+}
+
+impl ParentRuns {
+    /// Groups `layer` by parent; every parent is below `num_states`.
+    fn build(&mut self, layer: &[InternalTransition], num_states: u32) {
+        // Reset only the previous pass's parents.
+        for &q in &self.parents {
+            self.len[q as usize] = 0;
+        }
+        self.parents.clear();
+        let n = num_states as usize;
+        if self.len.len() < n {
+            self.start.resize(n, 0);
+            self.len.resize(n, 0);
+        }
+        for t in layer {
+            let q = t.parent.index();
+            if self.len[q] == 0 {
+                self.parents.push(t.parent.raw());
+            }
+            self.len[q] += 1;
+        }
+        let mut offset = 0;
+        for &q in &self.parents {
+            self.start[q as usize] = offset;
+            offset += std::mem::take(&mut self.len[q as usize]);
+        }
+        // `len` counts back up as the fill cursor of each run.
+        self.order.clear();
+        self.order.resize(layer.len(), 0);
+        for (position, t) in layer.iter().enumerate() {
+            let q = t.parent.index();
+            self.order[(self.start[q] + self.len[q]) as usize] = position as u32;
+            self.len[q] += 1;
+        }
+    }
+
+    /// Fills `by_symbol`: each run stably sorted by the transitions' symbols.
+    fn sort_by_symbol(&mut self, layer: &[InternalTransition]) {
+        self.by_symbol.clone_from(&self.order);
+        for i in 0..self.parents.len() {
+            let run = self.bounds(StateId::new(self.parents[i]));
+            self.by_symbol[run].sort_by_key(|&p| layer[p as usize].symbol);
+        }
+    }
+
+    fn bounds(&self, state: StateId) -> std::ops::Range<usize> {
+        match self.len.get(state.index()) {
+            Some(&len) if len > 0 => {
+                let start = self.start[state.index()] as usize;
+                start..start + len as usize
+            }
+            _ => 0..0,
+        }
+    }
+
+    /// Positions of `state`'s transitions, in layer order.
+    fn run(&self, state: StateId) -> &[u32] {
+        &self.order[self.bounds(state)]
+    }
+
+    /// Positions of `state`'s transitions carrying `symbol`, in layer order
+    /// (needs [`ParentRuns::sort_by_symbol`]).
+    fn run_with_symbol(
+        &self,
+        state: StateId,
+        symbol: InternalSymbol,
+        layer: &[InternalTransition],
+    ) -> &[u32] {
+        let run = &self.by_symbol[self.bounds(state)];
+        let first = run.partition_point(|&p| layer[p as usize].symbol < symbol);
+        let count = run[first..].partition_point(|&p| layer[p as usize].symbol == symbol);
+        &run[first..first + count]
+    }
+}
+
+/// One projection's fused swap ladder: the in-ladder reduction policy, its
+/// growth baseline, and the scratch buffers every pass reuses.
 struct Ladder<'o> {
     opts: &'o CompositionOptions,
     /// Transition count at the ladder entry, updated to the reduced count
     /// after every in-ladder reduction.
     baseline: usize,
+    /// The child layer grouped by parent.
+    runs: ParentRuns,
+    /// The pass interner of [`intern_pass_state`].
+    interned: PassInterner,
+    /// The dedup set of [`assemble_layer`].
+    seen: IdHashSet<(StateId, InternalSymbol, StateId, StateId)>,
 }
 
 impl<'o> Ladder<'o> {
@@ -837,6 +951,9 @@ impl<'o> Ladder<'o> {
         Ladder {
             opts,
             baseline: entry_transitions.max(1),
+            runs: ParentRuns::default(),
+            interned: PassInterner::default(),
+            seen: IdHashSet::default(),
         }
     }
 
@@ -873,13 +990,8 @@ impl<'o> Ladder<'o> {
     fn forward_pass(&mut self, state: &mut LadderState, qubit: u32, child_var: u32) {
         let uppers = std::mem::take(&mut state.layers[qubit as usize]);
         let children = std::mem::take(&mut state.layers[child_var as usize]);
-        let mut interned: HashMap<(InternalSymbol, StateId, StateId), StateId> = HashMap::new();
-
-        // Child adjacency within the active child layer.
-        let mut by_parent: HashMap<StateId, Vec<u32>> = HashMap::with_capacity(children.len());
-        for (position, t) in children.iter().enumerate() {
-            by_parent.entry(t.parent).or_default().push(position as u32);
-        }
+        self.interned.clear();
+        self.runs.build(&children, state.num_states);
 
         let mut removed_child = vec![false; children.len()];
         let mut new_qubit: Vec<InternalTransition> = Vec::new();
@@ -887,12 +999,12 @@ impl<'o> Ladder<'o> {
         let mut kept_uppers: Vec<InternalTransition> = Vec::new();
 
         for upper in uppers {
-            let (Some(left_children), Some(right_children)) =
-                (by_parent.get(&upper.left), by_parent.get(&upper.right))
-            else {
+            let left_children = self.runs.run(upper.left);
+            let right_children = self.runs.run(upper.right);
+            if left_children.is_empty() || right_children.is_empty() {
                 kept_uppers.push(upper);
                 continue;
-            };
+            }
             for &li in left_children {
                 for &ri in right_children {
                     let left_t = &children[li as usize];
@@ -907,7 +1019,7 @@ impl<'o> Ladder<'o> {
                     // x_t^h(q01, q11).
                     let lower_symbol = upper.symbol;
                     let q0 = intern_pass_state(
-                        &mut interned,
+                        &mut self.interned,
                         &mut state.num_states,
                         lower_symbol,
                         left_t.left,
@@ -915,7 +1027,7 @@ impl<'o> Ladder<'o> {
                         &mut new_qubit,
                     );
                     let q1 = intern_pass_state(
-                        &mut interned,
+                        &mut self.interned,
                         &mut state.num_states,
                         lower_symbol,
                         left_t.right,
@@ -933,12 +1045,14 @@ impl<'o> Ladder<'o> {
         }
 
         assemble_layer(
+            &mut self.seen,
             &mut state.layers[qubit as usize],
             kept_uppers,
             None,
             new_qubit,
         );
         assemble_layer(
+            &mut self.seen,
             &mut state.layers[child_var as usize],
             children,
             Some(&removed_child),
@@ -948,25 +1062,17 @@ impl<'o> Ladder<'o> {
 
     /// One backward variable-order swap pass (Algorithm 8): restores the
     /// displaced `upper_var` layer (remembered in [`Tag::Pair`] tags)
-    /// sitting directly above the qubit\u2019s current position.
+    /// sitting directly above the qubit’s current position.
     fn backward_pass(&mut self, state: &mut LadderState, qubit: u32, upper_var: u32) {
         let uppers = std::mem::take(&mut state.layers[upper_var as usize]);
         let children = std::mem::take(&mut state.layers[qubit as usize]);
-        let mut interned: HashMap<(InternalSymbol, StateId, StateId), StateId> = HashMap::new();
-
+        self.interned.clear();
         // A matching pair needs the left and right child transitions to
-        // carry the *same* tagged symbol, so pairs are found by hash join
-        // on (parent, symbol) instead of a quadratic |left| × |right| scan.
-        let mut by_parent: HashMap<StateId, Vec<u32>> = HashMap::with_capacity(children.len());
-        let mut by_parent_symbol: HashMap<(StateId, InternalSymbol), Vec<u32>> =
-            HashMap::with_capacity(children.len());
-        for (position, t) in children.iter().enumerate() {
-            by_parent.entry(t.parent).or_default().push(position as u32);
-            by_parent_symbol
-                .entry((t.parent, t.symbol))
-                .or_default()
-                .push(position as u32);
-        }
+        // carry the *same* tagged symbol, so each left child finds its
+        // partners by binary search in the symbol-sorted run of the right
+        // parent instead of a quadratic |left| × |right| scan.
+        self.runs.build(&children, state.num_states);
+        self.runs.sort_by_symbol(&children);
 
         let mut removed_child = vec![false; children.len()];
         let mut new_restored: Vec<InternalTransition> = Vec::new();
@@ -984,49 +1090,45 @@ impl<'o> Ladder<'o> {
                 }
             };
             let mut handled = false;
-            if let Some(left_children) = by_parent.get(&upper.left) {
-                for &li in left_children {
-                    let left_t = &children[li as usize];
-                    let Some(right_matches) = by_parent_symbol.get(&(upper.right, left_t.symbol))
-                    else {
-                        continue;
-                    };
-                    for &ri in right_matches {
-                        let left_t = &children[li as usize];
-                        let right_t = &children[ri as usize];
-                        handled = true;
-                        removed_child[li as usize] = true;
-                        removed_child[ri as usize] = true;
-                        let restored_left_symbol =
-                            InternalSymbol::new(upper.symbol.var).with_tag(Tag::Single(tag_left));
-                        let restored_right_symbol =
-                            InternalSymbol::new(upper.symbol.var).with_tag(Tag::Single(tag_right));
-                        let lower_symbol = left_t.symbol;
-                        // q''_0 generates x_l^i(q00, q01); q''_1 generates
-                        // x_l^j(q10, q11).
-                        let q0 = intern_pass_state(
-                            &mut interned,
-                            &mut state.num_states,
-                            restored_left_symbol,
-                            left_t.left,
-                            right_t.left,
-                            &mut new_restored,
-                        );
-                        let q1 = intern_pass_state(
-                            &mut interned,
-                            &mut state.num_states,
-                            restored_right_symbol,
-                            left_t.right,
-                            right_t.right,
-                            &mut new_restored,
-                        );
-                        new_lower.push(InternalTransition {
-                            parent: upper.parent,
-                            symbol: lower_symbol,
-                            left: q0,
-                            right: q1,
-                        });
-                    }
+            for &li in self.runs.run(upper.left) {
+                let left_t = &children[li as usize];
+                let right_matches =
+                    self.runs
+                        .run_with_symbol(upper.right, left_t.symbol, &children);
+                for &ri in right_matches {
+                    let right_t = &children[ri as usize];
+                    handled = true;
+                    removed_child[li as usize] = true;
+                    removed_child[ri as usize] = true;
+                    let restored_left_symbol =
+                        InternalSymbol::new(upper.symbol.var).with_tag(Tag::Single(tag_left));
+                    let restored_right_symbol =
+                        InternalSymbol::new(upper.symbol.var).with_tag(Tag::Single(tag_right));
+                    let lower_symbol = left_t.symbol;
+                    // q''_0 generates x_l^i(q00, q01); q''_1 generates
+                    // x_l^j(q10, q11).
+                    let q0 = intern_pass_state(
+                        &mut self.interned,
+                        &mut state.num_states,
+                        restored_left_symbol,
+                        left_t.left,
+                        right_t.left,
+                        &mut new_restored,
+                    );
+                    let q1 = intern_pass_state(
+                        &mut self.interned,
+                        &mut state.num_states,
+                        restored_right_symbol,
+                        left_t.right,
+                        right_t.right,
+                        &mut new_restored,
+                    );
+                    new_lower.push(InternalTransition {
+                        parent: upper.parent,
+                        symbol: lower_symbol,
+                        left: q0,
+                        right: q1,
+                    });
                 }
             }
             if !handled {
@@ -1035,12 +1137,14 @@ impl<'o> Ladder<'o> {
         }
 
         assemble_layer(
+            &mut self.seen,
             &mut state.layers[upper_var as usize],
             kept_uppers,
             None,
             new_restored,
         );
         assemble_layer(
+            &mut self.seen,
             &mut state.layers[qubit as usize],
             children,
             Some(&removed_child),
@@ -1050,18 +1154,19 @@ impl<'o> Ladder<'o> {
 }
 
 /// Rebuilds one active layer bucket from its carried transitions (minus the
-/// removed ones) plus the pass's new transitions, deduped with an
-/// integer-key set as they are emitted.  Untouched buckets are never
-/// rebuilt, and leaves are never visited — the bigint-cloning leaf dedup of
+/// removed ones) plus the pass's new transitions, deduped with the id-hashed
+/// `seen` set as they are emitted.  Untouched buckets are never rebuilt, and
+/// leaves are never visited — the bigint-cloning leaf dedup of
 /// [`TreeAutomaton::dedup_transitions`] is skipped entirely.
 fn assemble_layer(
+    seen: &mut IdHashSet<(StateId, InternalSymbol, StateId, StateId)>,
     bucket: &mut Vec<InternalTransition>,
     carried: Vec<InternalTransition>,
     removed: Option<&[bool]>,
     new_transitions: Vec<InternalTransition>,
 ) {
-    let mut seen: HashSet<(StateId, InternalSymbol, StateId, StateId)> =
-        HashSet::with_capacity(carried.len() + new_transitions.len());
+    seen.clear();
+    seen.reserve(carried.len() + new_transitions.len());
     bucket.reserve(carried.len() + new_transitions.len());
     for (position, t) in carried.into_iter().enumerate() {
         if removed.is_some_and(|flags| flags[position]) {
@@ -1274,18 +1379,25 @@ fn single_tag(tag: Tag) -> u64 {
 /// only trees with the same tag (guaranteed by matching the uniquely tagged
 /// symbols) and adds/subtracts their leaf amplitudes.
 pub fn binary_op(a1: &TreeAutomaton, a2: &TreeAutomaton, sign: CombineSign) -> TreeAutomaton {
+    // The product is built through its fields, as `trim` builds its output:
+    // the `add_*` methods take the index-cache lock on every call, and
+    // `add_leaf_id` scans every leaf for an existing one, which a fresh
+    // product state (popped once, given at most one leaf) never has.
     let mut result = TreeAutomaton::new(a1.num_vars);
-    let mut pair_state: HashMap<(StateId, StateId), StateId> = HashMap::new();
-    let mut worklist: Vec<(StateId, StateId)> = Vec::new();
+    let mut pair_state: IdHashMap<(StateId, StateId), StateId> = IdHashMap::default();
+    // Each pending pair carries its product state, so a pop needs no lookup.
+    let mut worklist: Vec<(StateId, StateId, StateId)> = Vec::new();
 
     let get_state = |result: &mut TreeAutomaton,
-                     worklist: &mut Vec<(StateId, StateId)>,
-                     pair_state: &mut HashMap<(StateId, StateId), StateId>,
+                     worklist: &mut Vec<(StateId, StateId, StateId)>,
+                     pair_state: &mut IdHashMap<(StateId, StateId), StateId>,
                      q1: StateId,
                      q2: StateId| {
         *pair_state.entry((q1, q2)).or_insert_with(|| {
-            worklist.push((q1, q2));
-            result.add_state()
+            let state = StateId::new(result.num_states);
+            result.num_states += 1;
+            worklist.push((q1, q2, state));
+            state
         })
     };
 
@@ -1301,8 +1413,7 @@ pub fn binary_op(a1: &TreeAutomaton, a2: &TreeAutomaton, sign: CombineSign) -> T
     let index1 = a1.index();
     let index2 = a2.index();
 
-    while let Some((q1, q2)) = worklist.pop() {
-        let parent = pair_state[&(q1, q2)];
+    while let Some((q1, q2, parent)) = worklist.pop() {
         // Internal transitions with matching (tagged) symbols.
         for &i1 in index1.internal_of(q1) {
             for &i2 in index2.internal_of(q2) {
@@ -1325,7 +1436,12 @@ pub fn binary_op(a1: &TreeAutomaton, a2: &TreeAutomaton, sign: CombineSign) -> T
                     t1.right,
                     t2.right,
                 );
-                result.add_internal(parent, t1.symbol, left, right);
+                result.internal.push(InternalTransition {
+                    parent,
+                    symbol: t1.symbol,
+                    left,
+                    right,
+                });
             }
         }
         // Leaf combination — pure id arithmetic: the sum/difference of two
@@ -1345,7 +1461,10 @@ pub fn binary_op(a1: &TreeAutomaton, a2: &TreeAutomaton, sign: CombineSign) -> T
                 CombineSign::Plus => intern::LeafOp::Add,
                 CombineSign::Minus => intern::LeafOp::Sub,
             };
-            result.add_leaf_id(parent, intern::combine(op, v1, v2));
+            result.leaves.push(LeafTransition {
+                parent,
+                amp: intern::combine(op, v1, v2),
+            });
         }
     }
     result

@@ -10,7 +10,7 @@ use autoq_amplitude::{intern, Algebraic, AmpId};
 use crate::arena::{self, TreeNode};
 use crate::index::TransitionIndex;
 use crate::tree::NodeId;
-use crate::{InternalSymbol, StateId, Tag, Tree};
+use crate::{IdHashSet, InternalSymbol, StateId, Tag, Tree};
 
 /// An internal transition `parent → symbol(left, right)`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -505,11 +505,12 @@ impl TreeAutomaton {
 
     /// Removes duplicate transitions.
     pub fn dedup_transitions(&mut self) {
-        let mut seen_internal: HashSet<(StateId, InternalSymbol, StateId, StateId)> =
-            HashSet::with_capacity(self.internal.len());
+        let mut seen_internal: IdHashSet<(StateId, InternalSymbol, StateId, StateId)> =
+            IdHashSet::with_capacity_and_hasher(self.internal.len(), Default::default());
         self.internal
             .retain(|t| seen_internal.insert((t.parent, t.symbol, t.left, t.right)));
-        let mut seen_leaves: HashSet<(StateId, AmpId)> = HashSet::with_capacity(self.leaves.len());
+        let mut seen_leaves: IdHashSet<(StateId, AmpId)> =
+            IdHashSet::with_capacity_and_hasher(self.leaves.len(), Default::default());
         self.leaves
             .retain(|t| seen_leaves.insert((t.parent, t.amp)));
         self.invalidate_index();

@@ -21,7 +21,9 @@
 //! reads adjacency through a lazily cached CSR [`TransitionIndex`]
 //! ([`TreeAutomaton::index`]) instead of rescanning the transition vectors,
 //! and the reduction merges states with integer signatures in one
-//! children-first pass (see `docs/ARCHITECTURE.md` §3.1).
+//! children-first pass (see `docs/ARCHITECTURE.md` §3.1).  Maps keyed only
+//! by program-generated ids (states, symbols, class ids, `AmpId`s) hash
+//! with the Fx-style [`IdHasher`] instead of SipHash.
 //!
 //! *Pipeline position*: bigint → amplitude → **treeaut** → simulator →
 //! {equivcheck, core} → bench — the automata substrate `autoq-core` builds
@@ -51,6 +53,7 @@ mod automaton;
 pub mod basis;
 pub mod certificate;
 pub mod format;
+mod idhash;
 mod inclusion;
 mod index;
 mod reduce;
@@ -63,6 +66,7 @@ pub use basis::BasisIndex;
 pub use certificate::{
     CertSet, CertificateBuildError, InclusionCertificate, LeafJustification, StepJustification,
 };
+pub use idhash::{IdHashMap, IdHashSet, IdHasher};
 pub use inclusion::{
     equivalence, inclusion, inclusion_with_certificate, naive_equivalence,
     CertifiedInclusionResult, EquivalenceResult, InclusionResult,

@@ -15,7 +15,9 @@
 //! one children-first pass: states are visited in Kahn order over the
 //! child-occurrence index, and each gets its integer signature (interned
 //! symbol ids, child class ids, leaf `AmpId`s) once, looked up in a
-//! signature → class table that persists across the pass.  A class keeps the
+//! signature → class table that persists across the pass.  That table and
+//! the symbol-interning map are keyed only by program-generated ids, so they
+//! hash with [`IdHasher`](crate::IdHasher) instead of SipHash.  A class keeps the
 //! id of its first visited member and records its minimum member, onto which
 //! the final rewrite maps every state.  States on or above a cycle follow the
 //! Kahn order in the same worklist; a parent is re-signatured only when a
@@ -29,7 +31,9 @@ use std::collections::HashMap;
 
 use autoq_amplitude::{resolve, Algebraic};
 
-use crate::{InternalSymbol, InternalTransition, LeafTransition, StateId, TreeAutomaton};
+use crate::{
+    IdHashMap, InternalSymbol, InternalTransition, LeafTransition, StateId, TreeAutomaton,
+};
 
 impl TreeAutomaton {
     /// Removes useless states and transitions (non-productive or
@@ -84,12 +88,14 @@ impl TreeAutomaton {
                 }
             }
         }
-        // 3. Renumber (ascending ids, as before).
+        // 3. Renumber (ascending ids, as before), through the fields rather
+        //    than `add_state`, which takes the index-cache lock per call.
         let mut mapping: Vec<Option<StateId>> = vec![None; n];
         let mut result = TreeAutomaton::new(self.num_vars);
         for (q, slot) in mapping.iter_mut().enumerate() {
             if productive[q] && accessible[q] {
-                *slot = Some(result.add_state());
+                *slot = Some(StateId::new(result.num_states));
+                result.num_states += 1;
             }
         }
         for &root in &self.roots {
@@ -151,7 +157,7 @@ impl TreeAutomaton {
 
         // Intern symbols into dense integer ids.  Leaf values arrive already
         // interned process-wide: the `AmpId` raw integer is the signature id.
-        let mut symbol_ids: HashMap<InternalSymbol, u32> = HashMap::new();
+        let mut symbol_ids: IdHashMap<InternalSymbol, u32> = IdHashMap::default();
         let transition_symbols: Vec<u32> = self
             .internal
             .iter()
@@ -190,7 +196,7 @@ impl TreeAutomaton {
         let mut min_member = class.clone();
         let mut visited = vec![false; n];
         let mut queued = vec![true; n];
-        let mut table = HashMap::new();
+        let mut table = IdHashMap::default();
         let (mut tuples, mut moved): (Vec<(u32, u32, u32)>, _) = (Vec::new(), Vec::new());
         let mut changed = false;
         let mut next = 0;
